@@ -15,8 +15,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, listing them, so `make
+# verify` and CI catch unformatted code.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

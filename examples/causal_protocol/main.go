@@ -16,6 +16,7 @@ import (
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/scenario"
+	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
 )
 
@@ -67,16 +68,26 @@ func main() {
 			log.Fatal(err)
 		}
 		// Occasionally force each route (the exogenous knob), otherwise
-		// observe whatever the adaptive controller chose.
+		// observe whatever the adaptive controller chose. A forced hour is
+		// a what-if query on a clone of the policy, so the controller's own
+		// overrides — and the factual trajectory — stay intact.
+		var avoid topo.ASN
 		switch {
 		case flip.Bernoulli(0.2):
-			e.Policy.SetLocalPref(3741, scenario.ZATransitA, 10)
-			e.MarkDirty()
+			avoid = scenario.ZATransitA
 		case flip.Bernoulli(0.25):
-			e.Policy.SetLocalPref(3741, scenario.ZATransitB, 10)
-			e.MarkDirty()
+			avoid = scenario.ZATransitB
 		}
-		perf, err := e.PerfToAS(src, scenario.BigContent)
+		rib, err := e.RIB()
+		if avoid != 0 {
+			pol := e.Policy.Clone()
+			pol.SetLocalPref(3741, avoid, 10)
+			rib, err = e.RIBUnder(pol)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		perf, err := e.PerfToASOn(rib, src, scenario.BigContent)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,10 +100,6 @@ func main() {
 		cCol = append(cCol, e.Utilization(primary))
 		rCol = append(rCol, onAlt)
 		lCol = append(lCol, perf.RTTms)
-		// Clear the one-hour forcings.
-		e.Policy.ClearLocalPref(3741, scenario.ZATransitA)
-		e.Policy.ClearLocalPref(3741, scenario.ZATransitB)
-		e.MarkDirty()
 	}
 	frame, err := data.FromColumns(map[string][]float64{"C": cCol, "R": rCol, "L": lCol})
 	if err != nil {

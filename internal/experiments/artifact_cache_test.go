@@ -162,8 +162,9 @@ func TestCachedSuiteBuildsEachKeyOnce(t *testing.T) {
 }
 
 // TestFetchWorldMutationSafety is the domain-level fork battery: mutate
-// everything reachable from one fetched world/RIB, then refetch and verify
-// the stored artifacts were untouched.
+// everything writable reachable from one fetched world, then refetch and
+// verify the stored artifacts were untouched and the RIB fork is rebound
+// onto the new world (a RIB has no write path to maul).
 func TestFetchWorldMutationSafety(t *testing.T) {
 	store := artifact.NewStore()
 	ctx := artifact.With(context.Background(), store)
@@ -188,13 +189,6 @@ func TestFetchWorldMutationSafety(t *testing.T) {
 	if _, err := s1.Topo.JoinIXP(s1.IXPName, origTreated); err != nil {
 		t.Fatal(err)
 	}
-	// Mutate the RIB through the sanctioned write path. MutableLookup is
-	// the copy-on-write promotion point: the fork's table for this
-	// destination goes private, the stored original must stay converged.
-	if rt := rib1.MutableLookup(3741, scenario.BigContent); rt != nil && len(rt.Path) > 0 {
-		rt.Path[0] = 65003
-		rt.LocalPref = -1
-	}
 
 	s2, rib2, err := fetchWorld(ctx, pool, scenario.SouthAfricaID)
 	if err != nil {
@@ -212,12 +206,11 @@ func TestFetchWorldMutationSafety(t *testing.T) {
 	if _, member := s2.Topo.IXPMemberIndex(s2.IXPName, origTreated); member {
 		t.Fatal("topology mutation (IXP join) leaked into the store")
 	}
-	rt := rib2.Lookup(3741, scenario.BigContent)
-	if rt == nil {
-		t.Fatal("refetched RIB lost the 3741 → BigContent route")
+	if rib2.Topo != s2.Topo {
+		t.Fatal("refetched RIB is not rebound onto the refetched world")
 	}
-	if rt.LocalPref == -1 || (len(rt.Path) > 0 && rt.Path[0] == 65003) {
-		t.Fatalf("RIB mutation leaked into the store: %+v", rt)
+	if rib2.Lookup(3741, scenario.BigContent) == nil {
+		t.Fatal("refetched RIB lost the 3741 → BigContent route")
 	}
 	// The store was consulted: one build per key, later fetches were hits.
 	for key, ks := range store.PerKey() {

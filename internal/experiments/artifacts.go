@@ -71,13 +71,11 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 			}
 			return bgp.Compute(ctx, pool, w.Topo, nil)
 		},
-		// Rebind each fork onto the caller's own world fork. The stored
-		// original is frozen, so this is a copy-on-write view: per-dest
-		// route tables stay shared until a fork writes through
-		// MutableLookup.
-		Fork:   func(r *bgp.RIB) *bgp.RIB { return r.Fork(s.Topo) },
-		Freeze: (*bgp.RIB).Freeze,
-		Size:   (*bgp.RIB).SizeBytes,
+		// Rebind each fork onto the caller's own world fork. Nothing writes
+		// a RIB once it has converged, so every fork shares the stored
+		// original's route tables.
+		Fork: func(r *bgp.RIB) *bgp.RIB { return r.Fork(s.Topo) },
+		Size: (*bgp.RIB).SizeBytes,
 		Codec: &artifact.Codec[*bgp.RIB]{
 			Version: ribCodecVersion,
 			Encode:  EncodeRIBArtifact,
@@ -89,7 +87,7 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 				if err != nil {
 					return nil, err
 				}
-				return DecodeRIBArtifact(b, w.Topo, pool)
+				return DecodeRIBArtifact(b, w.Topo)
 			},
 		},
 	})

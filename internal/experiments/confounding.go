@@ -168,26 +168,26 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
+		// Ground truth: force each route in turn, same instant, same noise.
+		viaAlt, viaPrimary, err := forcedContrast(e, cast, dst, src)
+		if err != nil {
+			return nil, err
+		}
+		sim.trueSum += viaAlt.RTTms - viaPrimary.RTTms
+		sim.trueN++
+
+		// A forced hour observes the contrast arm it forces: the what-if
+		// query is pure, so it is the value forcing the route would show.
 		var perf *engine.PathPerf
 		switch {
 		case flipRNG.Bernoulli(0.25):
-			v, err := observeForced(e, cast, dst, src, cast.Alternate) // force primary
-			if err != nil {
-				return nil, err
-			}
-			perf = v
+			perf = viaPrimary // force primary
 		case flipRNG.Bernoulli(1.0 / 3.0): // 0.25 of the original mass
-			v, err := observeForced(e, cast, dst, src, cast.Primary) // force alternate
-			if err != nil {
-				return nil, err
-			}
-			perf = v
+			perf = viaAlt // force alternate
 		default:
-			v, err := e.PerfToAS(src, dst)
-			if err != nil {
+			if perf, err = e.PerfToAS(src, dst); err != nil {
 				return nil, err
 			}
-			perf = v
 		}
 		onAlt := 0.0
 		for _, asn := range perf.Path.ASPath {
@@ -200,74 +200,40 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 		sim.lCol = append(sim.lCol, perf.RTTms)
 		sim.cCol = append(sim.cCol, e.Utilization(primary))
 		sim.hourCol = append(sim.hourCol, e.Hour())
-
-		// Ground truth: force each route in turn, same instant, same noise.
-		prefA, prefB, err := forcedContrast(e, cast, dst, src)
-		if err != nil {
-			return nil, err
-		}
-		sim.trueSum += prefA - prefB
-		sim.trueN++
 	}
 	return sim, nil
 }
 
-// observeForced measures the eyeball's performance with the given transit
-// avoided for one instant, restoring the policy afterwards.
-func observeForced(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID, avoid topo.ASN) (*engine.PathPerf, error) {
-	asn := cast.ASN
-	restore := savePrefs(e, asn, cast)
-	defer restore()
+// forcedContrast pins the eyeball's egress to each transit in turn and
+// measures the true performance under identical conditions: the
+// do(R = alt) and do(R = primary) outcomes at this instant. Both arms are
+// what-if queries, so the factual trajectory is untouched.
+func forcedContrast(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID) (viaAlt, viaPrimary *engine.PathPerf, err error) {
+	if viaAlt, err = perfForced(e, cast, dst, src, cast.Primary); err != nil {
+		return nil, nil, err
+	}
+	if viaPrimary, err = perfForced(e, cast, dst, src, cast.Alternate); err != nil {
+		return nil, nil, err
+	}
+	return viaAlt, viaPrimary, nil
+}
+
+// perfForced is the eyeball's performance now had it avoided one transit:
+// the avoided provider is de-preffed, the other restored to the provider
+// default, on a clone of the engine's policy.
+func perfForced(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID, avoid topo.ASN) (*engine.PathPerf, error) {
 	other := cast.Primary
 	if avoid == cast.Primary {
 		other = cast.Alternate
 	}
-	e.Policy.SetLocalPref(asn, avoid, 10)
-	e.Policy.SetLocalPref(asn, other, bgp.PrefProvider)
-	e.MarkDirty()
-	return e.PerfToAS(src, dst)
-}
-
-// savePrefs snapshots AS a's local-pref overrides toward the two transits
-// and returns a restore function.
-func savePrefs(e *engine.Engine, asn topo.ASN, cast scenario.EyeballCast) func() {
-	saved := map[topo.ASN]*int{}
-	for _, n := range []topo.ASN{cast.Primary, cast.Alternate} {
-		if m := e.Policy.LocalPref[asn]; m != nil {
-			if v, ok := m[n]; ok {
-				vv := v
-				saved[n] = &vv
-				continue
-			}
-		}
-		saved[n] = nil
-	}
-	return func() {
-		for n, v := range saved {
-			if v == nil {
-				e.Policy.ClearLocalPref(asn, n)
-			} else {
-				e.Policy.SetLocalPref(asn, n, *v)
-			}
-		}
-		e.MarkDirty()
-	}
-}
-
-// forcedContrast pins the eyeball's egress to each transit in turn and
-// measures the true RTT under identical conditions: the do(R = alt) and
-// do(R = primary) outcomes at this instant. Policy overrides are restored
-// afterwards so the factual trajectory is untouched.
-func forcedContrast(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID) (viaAlt, viaPrimary float64, err error) {
-	a, err := observeForced(e, cast, dst, src, cast.Primary) // avoid primary → via alt
+	pol := e.Policy.Clone()
+	pol.SetLocalPref(cast.ASN, avoid, 10)
+	pol.SetLocalPref(cast.ASN, other, bgp.PrefProvider)
+	rib, err := e.RIBUnder(pol)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	b, err := observeForced(e, cast, dst, src, cast.Alternate) // avoid alt → via primary
-	if err != nil {
-		return 0, 0, err
-	}
-	return a.RTTms, b.RTTms, nil
+	return e.PerfToASOn(rib, src, dst)
 }
 
 func pathStrings(ps []dag.Path) []string {

@@ -89,7 +89,7 @@ func TestRIBArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeRIBArtifact(data, w2.Topo, pool)
+	back, err := DecodeRIBArtifact(data, w2.Topo)
 	if err != nil {
 		t.Fatal(err)
 	}

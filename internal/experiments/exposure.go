@@ -151,13 +151,18 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 					row.Exposure++
 				}
 			}
-			// Fail the link, recompute, and measure actual impact.
-			e.Policy.DenyLink[cand.id] = true
-			e.MarkDirty()
+			// Fail the link in a what-if policy, reconverge once, and
+			// measure every pair's actual impact on that routing.
+			pol := e.Policy.Clone()
+			pol.DenyLink[cand.id] = true
+			rib, err := e.RIBUnder(pol)
+			if err != nil {
+				return err
+			}
 			var shiftSum float64
 			var shiftN int
 			for _, p := range pairs {
-				perf, err := e.PerfToAS(p.src, dst)
+				perf, err := e.PerfToASOn(rib, p.src, dst)
 				if err != nil {
 					row.Unreachable++
 					continue
@@ -168,8 +173,6 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 			if shiftN > 0 {
 				row.MeanRTTShift = shiftSum / float64(shiftN)
 			}
-			delete(e.Policy.DenyLink, cand.id)
-			e.MarkDirty()
 			res.Rows = append(res.Rows, row)
 		}
 		return nil

@@ -164,7 +164,7 @@ func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 			if err != nil {
 				return nil, err
 			}
-			sim.trueSum += va - vp
+			sim.trueSum += va.RTTms - vp.RTTms
 			sim.trueN++
 		}
 	}

@@ -200,7 +200,7 @@ func instrumentScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 			if err != nil {
 				return nil, err
 			}
-			sim.trueSum += va - vp
+			sim.trueSum += va.RTTms - vp.RTTms
 			sim.trueN++
 		}
 	}

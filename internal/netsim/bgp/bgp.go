@@ -89,7 +89,7 @@ func (p *Policy) ClearLocalPref(a, n topo.ASN) {
 	}
 }
 
-// Clone returns a deep copy, so events can be applied to a scratch policy.
+// Clone returns a deep copy: the scratch policy a what-if query edits.
 func (p *Policy) Clone() *Policy {
 	out := NewPolicy()
 	for a, m := range p.LocalPref {
@@ -109,39 +109,17 @@ func (p *Policy) Clone() *Policy {
 // RIB is the converged set of routing tables: for every destination AS, the
 // best route at every AS that can reach it.
 //
-// Per-destination tables are immutable once converged: Compute and
-// RecomputeAfterLinkFailure always build fresh tables, never write old ones
-// in place. That invariant is what lets Fork on a frozen RIB copy only the
-// outer destination map (O(destinations) pointers) while sharing every
-// table and route with the frozen original, and lets incremental
-// recomputation share every unaffected table. The one sanctioned way to
-// edit routes in place is MutableLookup, which promotes the destination's
-// table to a private copy first — per-destination copy-on-write.
+// Nothing writes a RIB once Compute (or Import) returns it: a changed
+// policy or topology is a new Compute, never an edit to routes, tables or
+// the relationship map. That is what lets Fork share every table.
 type RIB struct {
 	Topo *topo.Topology
 	Rel  *topo.ASRelationships
-	// best[dest][as] is as's chosen route to dest. The outer map is always
-	// owned by this RIB; inner tables may be shared with other RIBs.
+	// best[dest][as] is as's chosen route to dest.
 	best map[topo.ASN]map[topo.ASN]*Route
-	// promoted marks destinations whose inner table (and routes) are
-	// private to this RIB because MutableLookup copied them.
-	promoted map[topo.ASN]bool
-	// frozen marks the immutable original the artifact store holds: Fork
-	// becomes pointer-cheap and MutableLookup panics.
-	frozen bool
-	// policy used (for data-plane link filtering).
+	// policy the RIB was computed under (for data-plane link filtering).
 	policy *Policy
-	// pool computed this RIB and is reused by incremental recomputation.
-	pool parallel.Pool
 }
-
-// Freeze marks the RIB immutable: MutableLookup panics on it, and Fork
-// switches from deep copies to pointer-cheap table sharing. The artifact
-// store freezes each converged RIB once, before any fork escapes.
-func (r *RIB) Freeze() { r.frozen = true }
-
-// Frozen reports whether Freeze was called.
-func (r *RIB) Frozen() bool { return r.frozen }
 
 // Lookup returns a's route to dest, or nil if unreachable.
 func (r *RIB) Lookup(a, dest topo.ASN) *Route {
@@ -173,8 +151,7 @@ const maxSweeps = 200
 // (topology, relationships, policy), so they fan out across pool;
 // per-destination tables come back in AS order and are assembled into the
 // RIB sequentially, making the result identical to the sequential loop.
-// Cancelling ctx stops scheduling further destinations and returns ctx.Err();
-// the pool is retained by the RIB for incremental recomputation.
+// Cancelling ctx stops scheduling further destinations and returns ctx.Err().
 func Compute(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Policy) (*RIB, error) {
 	if pol == nil {
 		pol = NewPolicy()
@@ -183,7 +160,7 @@ func Compute(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Pol
 	if err != nil {
 		return nil, err
 	}
-	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route), policy: pol, pool: pool}
+	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route), policy: pol}
 	ases := t.ASes()
 	tables, err := parallel.Map(ctx, pool, len(ases), func(i int) (destTable, error) {
 		return computeDest(t, rel, pol, ases[i].ASN)

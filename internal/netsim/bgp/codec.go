@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/parallel"
 )
 
 // Export is the serialized form of a converged RIB: destinations ascending,
@@ -34,8 +33,7 @@ type ExportRoute struct {
 	LocalPref   int
 }
 
-// Export snapshots the RIB into its serialized form (read-only; safe on
-// frozen RIBs).
+// Export snapshots the RIB into its serialized form.
 func (r *RIB) Export() *Export {
 	e := &Export{}
 	dests := make([]topo.ASN, 0, len(r.best))
@@ -69,11 +67,10 @@ func (r *RIB) Export() *Export {
 
 // Import reconstructs a RIB from its serialized form, rebinding it onto t —
 // which must be a topology equivalent to the one the fixed point was
-// computed over — with the default (empty) policy and the caller's pool for
-// incremental recomputation, mirroring what Compute produces for the same
-// inputs. Duplicate destinations or per-destination ASes are rejected, never
-// panicked on; the result is unfrozen, exactly like a fresh Compute.
-func Import(e *Export, t *topo.Topology, pool parallel.Pool) (*RIB, error) {
+// computed over — with the default (empty) policy, mirroring what Compute
+// produces for the same inputs. Duplicate destinations or per-destination
+// ASes are rejected, never panicked on.
+func Import(e *Export, t *topo.Topology) (*RIB, error) {
 	if e == nil {
 		return nil, fmt.Errorf("bgp: import: nil export")
 	}
@@ -89,7 +86,6 @@ func Import(e *Export, t *topo.Topology, pool parallel.Pool) (*RIB, error) {
 		Rel:    rel,
 		best:   make(map[topo.ASN]map[topo.ASN]*Route, len(e.Dests)),
 		policy: NewPolicy(),
-		pool:   pool,
 	}
 	for _, ed := range e.Dests {
 		if _, ok := r.best[ed.Dest]; ok {

@@ -1,91 +1,17 @@
 package bgp
 
-import (
-	"fmt"
+import "sisyphus/internal/netsim/topo"
 
-	"sisyphus/internal/netsim/topo"
-)
-
-// Fork returns an independent copy of the RIB rebound onto t, which must be
-// a topology equivalent to the one the RIB was computed over (typically a
-// Clone of it). This is what lets one converged fixed point seed many
-// engines.
-//
-// On a frozen RIB (the artifact store's case) the fork is pointer-cheap:
-// converged per-destination tables are immutable, so the fork copies only
-// the outer destination map and shares every table, route, and the
-// relationship map with the frozen original. A fork that never writes
-// routes — the common case, since engines recompute by building fresh
-// tables — therefore performs zero route-table copies; a fork that does
-// write promotes one destination at a time through MutableLookup.
-//
-// On an unfrozen RIB the fork is the eager deep copy: the original may
-// still be mutated through MutableLookup, so sharing would not be safe.
+// Fork returns a copy of the RIB rebound onto t, which must be a topology
+// equivalent to the one the RIB was computed over (typically a Clone of
+// it). This is what lets one converged fixed point seed many engines. A RIB
+// is never written after it converges, so the fork shares every table,
+// route, the relationship map and the policy with the original: it costs
+// one struct copy.
 func (r *RIB) Fork(t *topo.Topology) *RIB {
-	if r.frozen {
-		best := make(map[topo.ASN]map[topo.ASN]*Route, len(r.best))
-		for dest, m := range r.best {
-			best[dest] = m
-		}
-		return &RIB{
-			Topo:   t,
-			Rel:    r.Rel, // immutable after construction: share
-			best:   best,
-			policy: r.policy.Clone(),
-			pool:   r.pool,
-		}
-	}
-	out := &RIB{
-		Topo:   t,
-		Rel:    cloneRelationships(r.Rel),
-		best:   make(map[topo.ASN]map[topo.ASN]*Route, len(r.best)),
-		policy: r.policy.Clone(),
-		pool:   r.pool,
-	}
-	for dest, m := range r.best {
-		out.best[dest] = cloneTable(m)
-	}
-	return out
-}
-
-// MutableLookup returns a's route to dest (nil if unreachable) as a pointer
-// the caller may mutate. The first call for a destination promotes that
-// destination's table to a private deep copy — per-destination copy-on-
-// write — so writes through the returned route never reach the frozen
-// original, sibling forks, or RIBs derived by incremental recomputation.
-// Plain Lookup stays allocation-free and must be treated as read-only.
-func (r *RIB) MutableLookup(a, dest topo.ASN) *Route {
-	if r.frozen {
-		panic(fmt.Sprintf("bgp: MutableLookup(AS%d, AS%d) on frozen RIB (mutate a Fork instead)", a, dest))
-	}
-	m, ok := r.best[dest]
-	if !ok {
-		return nil
-	}
-	if !r.promoted[dest] {
-		m = cloneTable(m)
-		r.best[dest] = m
-		if r.promoted == nil {
-			r.promoted = make(map[topo.ASN]bool)
-		}
-		r.promoted[dest] = true
-	}
-	return m[a]
-}
-
-// cloneTable deep-copies one destination's routing table.
-func cloneTable(m map[topo.ASN]*Route) map[topo.ASN]*Route {
-	cm := make(map[topo.ASN]*Route, len(m))
-	for a, rt := range m {
-		if rt == nil {
-			cm[a] = nil
-			continue
-		}
-		c := *rt
-		c.Path = append([]topo.ASN(nil), rt.Path...)
-		cm[a] = &c
-	}
-	return cm
+	out := *r
+	out.Topo = t
+	return &out
 }
 
 // SizeBytes estimates the RIB's resident size for the artifact store's byte
@@ -106,29 +32,4 @@ func (r *RIB) SizeBytes() int64 {
 		}
 	}
 	return n
-}
-
-func cloneRelationships(rel *topo.ASRelationships) *topo.ASRelationships {
-	if rel == nil {
-		return nil
-	}
-	out := &topo.ASRelationships{
-		Rel:   make(map[topo.ASN]map[topo.ASN]topo.RelKind, len(rel.Rel)),
-		Links: make(map[topo.ASN]map[topo.ASN][]topo.LinkID, len(rel.Links)),
-	}
-	for a, m := range rel.Rel {
-		cm := make(map[topo.ASN]topo.RelKind, len(m))
-		for b, k := range m {
-			cm[b] = k
-		}
-		out.Rel[a] = cm
-	}
-	for a, m := range rel.Links {
-		cm := make(map[topo.ASN][]topo.LinkID, len(m))
-		for b, ids := range m {
-			cm[b] = append([]topo.LinkID(nil), ids...)
-		}
-		out.Links[a] = cm
-	}
-	return out
 }

@@ -3,7 +3,9 @@
 // windows, policy changes), recomputes routing when the control plane is
 // dirtied, applies load-adaptive egress switching (the EdgeFabric/Espresso
 // behaviour that makes congestion a *cause* of route changes), and answers
-// performance queries (RTT, loss, throughput) along routed paths.
+// performance queries (RTT, loss, throughput) along routed paths — factual
+// ones, and what-if ones under a hypothetical policy (RIBUnder) that leave
+// the engine untouched.
 //
 // Determinism contract: an Engine is fully determined by (topology
 // constructor, seed, event list). Two engines built the same way but with
@@ -161,7 +163,7 @@ func (e *Engine) EventLog() []string { return append([]string(nil), e.eventLg...
 // RIB returns the current converged routing state, recomputing if needed.
 func (e *Engine) RIB() (*bgp.RIB, error) {
 	if e.dirty || e.rib == nil {
-		rib, err := bgp.Compute(e.ctx, e.cfg.Pool, e.Topo, e.Policy)
+		rib, err := e.RIBUnder(e.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -171,10 +173,14 @@ func (e *Engine) RIB() (*bgp.RIB, error) {
 	return e.rib, nil
 }
 
-// MarkDirty forces a routing recomputation on next use (call after mutating
-// the topology or policy outside the event system). Topology changes affect
-// both address families.
-func (e *Engine) MarkDirty() { e.dirty = true; e.dirty6 = true }
+// RIBUnder converges routing for pol over the engine's current topology
+// without touching the engine: Policy, the factual RIBs and their dirty
+// flags stay exactly as they were. It is the one way to ask a
+// counterfactual — pass a Clone of Policy carrying the what-if edits, then
+// query the result with PerfToASOn as many times as needed.
+func (e *Engine) RIBUnder(pol *bgp.Policy) (*bgp.RIB, error) {
+	return bgp.Compute(e.ctx, e.cfg.Pool, e.Topo, pol)
+}
 
 // Step advances simulated time by StepHours: fires due events, then applies
 // adaptive egress reactions to current utilization.

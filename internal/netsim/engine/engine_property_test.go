@@ -89,7 +89,7 @@ func TestFamilyPlanesIndependentPolicies(t *testing.T) {
 	}
 	// Depref one provider on v4 only.
 	e.Policy.SetLocalPref(asn, providers[0], 10)
-	e.MarkDirty()
+	e.MarkDirtyFamily(V4)
 	rib4, err := e.RIBFamily(V4)
 	if err != nil {
 		t.Fatal(err)

@@ -31,11 +31,7 @@ func (e *Engine) Perf(src, dst topo.PoPID) (*PathPerf, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := rib.Forward(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return e.perfAlong(p), nil
+	return e.perfOn(rib, src, dst)
 }
 
 // PerfToAS computes performance from a PoP to the nearest PoP of an AS
@@ -45,14 +41,27 @@ func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.PerfToASOn(rib, src, asn)
+}
+
+// PerfToASOn is PerfToAS along rib's routes under current link conditions.
+// Paired with RIBUnder it answers a what-if question — performance now had
+// the policy been different — without touching the engine.
+func (e *Engine) PerfToASOn(rib *bgp.RIB, src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 	dst, err := rib.NearestPoP(src, asn)
 	if err != nil {
 		return nil, err
 	}
-	return e.Perf(src, dst)
+	return e.perfOn(rib, src, dst)
 }
 
-func (e *Engine) perfAlong(p *bgp.Path) *PathPerf {
+// perfOn is the one path every Perf query takes: forward src→dst along
+// rib's routes, then price each hop under current link conditions.
+func (e *Engine) perfOn(rib *bgp.RIB, src, dst topo.PoPID) (*PathPerf, error) {
+	p, err := rib.Forward(src, dst)
+	if err != nil {
+		return nil, err
+	}
 	out := &PathPerf{Path: p, ThroughputMbps: 1e9, BottleneckLink: -1}
 	oneWay := 0.0
 	survive := 1.0
@@ -78,7 +87,7 @@ func (e *Engine) perfAlong(p *bgp.Path) *PathPerf {
 	if out.BottleneckLink == -1 {
 		out.ThroughputMbps = 0 // degenerate zero-hop path
 	}
-	return out
+	return out, nil
 }
 
 // Standard engine events.

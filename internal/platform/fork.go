@@ -113,8 +113,8 @@ func (s *Store) SizeBytes() int64 {
 	const perMeasurement = 240
 	const perHop = 48
 	const perPathEntry = 4
-	const perSeenEntry = 16  // map[int]bool entry
-	const perCovEntry = 112  // map entry + StreamCoverage + intent string
+	const perSeenEntry = 16 // map[int]bool entry
+	const perCovEntry = 112 // map entry + StreamCoverage + intent string
 	var n int64
 	for _, m := range s.ms {
 		n += perMeasurement

@@ -134,50 +134,17 @@ func (k *Knobs) RotateResolver(candidates []topo.ASN) topo.ASN {
 	return candidates[k.rng.Intn(len(candidates))]
 }
 
-// ForceUpstream pins an access AS's egress to one provider by local-pref
-// override (the PEERING-style announcement control). Returns a release
-// function restoring the default. The variation is exogenous because the
-// caller decides when to flip it (e.g. on a coin toss), not the network.
-func (k *Knobs) ForceUpstream(asn, provider topo.ASN) (release func(), err error) {
-	rel, err := k.pr.Engine.Topo.Relationships()
-	if err != nil {
-		return nil, err
-	}
-	found := false
-	var others []topo.ASN
-	for n, kind := range rel.Rel[asn] {
-		if kind != topo.RelCustomer {
-			continue
-		}
-		if n == provider {
-			found = true
-		} else {
-			others = append(others, n)
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("platform: AS%d is not a provider of AS%d", provider, asn)
-	}
-	for _, n := range others {
-		k.pr.Engine.Policy.SetLocalPref(asn, n, 10)
-	}
-	k.pr.Engine.MarkDirty()
-	return func() {
-		for _, n := range others {
-			k.pr.Engine.Policy.ClearLocalPref(asn, n)
-		}
-		k.pr.Engine.MarkDirty()
-	}, nil
-}
-
 // CoinFlip returns true with probability 0.5 from the knob RNG — the
 // randomization device for designed experiments.
 func (k *Knobs) CoinFlip() bool { return k.rng.Bernoulli(0.5) }
 
-// ForceUpstreamFamily is ForceUpstream for one address family: it pins the
-// AS's egress on that family only, leaving the other untouched. Flipping a
-// client between families then induces exogenous AS-path variation — the
-// paper's "toggling IPv4 vs IPv6 to alter AS paths" knob.
+// ForceUpstreamFamily pins an access AS's egress on one address family to
+// one provider by local-pref override (the PEERING-style announcement
+// control), leaving the other family untouched. Returns a release function
+// restoring the default. The variation is exogenous because the caller
+// decides when to flip it, not the network; flipping a client between
+// families then induces AS-path variation — the paper's "toggling IPv4 vs
+// IPv6 to alter AS paths" knob.
 func (k *Knobs) ForceUpstreamFamily(family engine.Family, asn, provider topo.ASN) (release func(), err error) {
 	rel, err := k.pr.Engine.Topo.Relationships()
 	if err != nil {

@@ -270,7 +270,7 @@ func TestKnobsForceUpstream(t *testing.T) {
 
 	// 3741 is multihomed to Transit-A and Transit-B. Force each and check
 	// the AS path follows the knob.
-	release, err := k.ForceUpstream(3741, scenario.ZATransitA)
+	release, err := k.ForceUpstreamFamily(engine.V4, 3741, scenario.ZATransitA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestKnobsForceUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown provider rejected.
-	if _, err := k.ForceUpstream(3741, 9999); err == nil {
+	if _, err := k.ForceUpstreamFamily(engine.V4, 3741, 9999); err == nil {
 		t.Fatal("bogus provider accepted")
 	}
 }
