@@ -94,11 +94,11 @@ bench-stages:
 	$(GO) run ./cmd/sisyphus -all -seed 42 -trace $(TRACE) > /dev/null
 	$(GO) run ./cmd/benchjson -merge $(TRACE) -out BENCH_sisyphus.json
 
-# The fork-benchmark regression gate: rerun just the copy-on-write fork
-# benchmarks and compare ns/op against the committed BENCH_sisyphus.json.
-# A cache hit's cost IS the fork cost, so a regression here silently taxes
-# every cached experiment. benchjson -compare exits 1 when any benchmark
-# slows by more than the threshold; added/removed benchmarks never fail.
+# The fork-benchmark regression gate: rerun just the fork benchmarks (the
+# eager world copy every world or campaign fetch pays, and the RIB rebind
+# onto it) and compare ns/op against the committed BENCH_sisyphus.json.
+# benchjson -compare exits 1 when any benchmark slows by more than the
+# threshold; added/removed benchmarks never fail.
 FORK_THRESHOLD ?= 0.50
 bench-forks:
 	$(GO) test -run='^$$' -bench='^BenchmarkFork' -benchtime=1000x -timeout 10m . \

@@ -139,8 +139,8 @@ func BenchmarkAllSuite(b *testing.B) {
 		}
 	})
 	// The pure hit path: one store warmed by a first run, every iteration
-	// served entirely from resident artifacts through copy-on-write forks.
-	// This is the serving-mode number the fork benchmarks below decompose.
+	// served entirely from resident artifacts: shared frozen values, with
+	// only worlds copied (the fork benchmarks below time those copies).
 	b.Run("cached-warm", func(b *testing.B) {
 		store := artifact.NewStore()
 		run(b, store)
@@ -247,45 +247,32 @@ func diskBenchStore(b *testing.B, dir string) *artifact.Store {
 	return artifact.NewStore(artifact.WithDisk(d))
 }
 
-// --- Fork benchmarks: the copy-on-write cache-hit primitives ---
+// --- Fork benchmarks: the per-fetch copies the artifact store makes ---
 //
-// Each benchmark contrasts the frozen (copy-on-write, what every cache hit
-// pays) and mutable (eager deep copy, the pre-CoW cost) fork of the same
-// artifact; a RIB has no mutable variant, so BenchmarkForkRIB has only the
-// cow arm. BENCH_sisyphus.json records them, and make bench-forks gates on
-// the cow variants regressing.
+// A world is the one cached artifact engines mutate, so every world fetch
+// pays an eager copy of its mutable overlay; a RIB fetch rebinds the shared
+// tables onto that copy. BENCH_sisyphus.json records both, and make
+// bench-forks gates on either regressing.
 
-// BenchmarkForkWorld forks the Table 1 scenario world.
+// BenchmarkForkWorld forks the frozen Table 1 scenario world, as every
+// world or campaign fetch from the artifact store does.
 func BenchmarkForkWorld(b *testing.B) {
-	build := func(b *testing.B) *scenario.World {
-		b.Helper()
-		s, err := scenario.Build(scenario.SouthAfricaID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
+	s, err := scenario.Build(scenario.SouthAfricaID)
+	if err != nil {
+		b.Fatal(err)
 	}
-	frozen := build(b)
-	frozen.Freeze()
-	mutable := build(b)
-	b.Run("cow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchWorldSink = frozen.Fork()
-		}
-	})
-	b.Run("deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchWorldSink = mutable.Fork()
-		}
-	})
+	s.Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchWorldSink = s.Fork()
+	}
 }
 
 // BenchmarkForkRIB forks the converged empty-policy RIB of the Table 1
 // world, rebound onto a fresh topology clone (exactly the artifact store's
-// fork recipe). A RIB is never written after it converges, so there is no
-// deep-copy variant to contrast: every fork shares the tables.
+// fork recipe). A RIB is never written after it converges, so every fork
+// shares the tables.
 func BenchmarkForkRIB(b *testing.B) {
 	s, err := scenario.Build(scenario.SouthAfricaID)
 	if err != nil {
@@ -297,56 +284,11 @@ func BenchmarkForkRIB(b *testing.B) {
 	}
 	s.Topo.Freeze()
 	world := s.Topo.Clone()
-	b.Run("cow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchRIBSink = rib.Fork(world)
-		}
-	})
-}
-
-// BenchmarkForkCampaign forks a campaign-shaped artifact: the world plus a
-// measurement store of campaign scale (one simulated record per ~20 minutes
-// over six weeks, the Table 1 volume).
-func BenchmarkForkCampaign(b *testing.B) {
-	build := func(b *testing.B) (*scenario.World, *platform.Store) {
-		b.Helper()
-		s, err := scenario.Build(scenario.SouthAfricaID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := platform.NewStore()
-		for i := 0; i < 3000; i++ {
-			m := &probe.Measurement{
-				ID: i + 1, Intent: probe.IntentBaseline, Hour: float64(i) / 3,
-				SrcASN: 3741, SrcCity: "Johannesburg", DstASN: 300,
-				RTTms: 180, ThroughputMbps: 40,
-				Hops: make([]probe.HopRecord, 6),
-			}
-			if err := st.Add(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s, st
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRIBSink = rib.Fork(world)
 	}
-	fw, fs := build(b)
-	fw.Freeze()
-	fs.Freeze()
-	mw, ms := build(b)
-	b.Run("cow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchWorldSink = fw.Fork()
-			benchStoreSink = fs.Fork()
-		}
-	})
-	b.Run("deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchWorldSink = mw.Fork()
-			benchStoreSink = ms.Fork()
-		}
-	})
 }
 
 // Package-level sinks keep the compiler from eliding the forks.

@@ -18,16 +18,16 @@
 //     single build. Errors are never cached — a failed build is removed and
 //     every waiter sees the error, so the next request retries.
 //
-//   - Frozen-on-insert / copy-on-read: the store keeps the builder's
-//     original and every fetch (including the builder's own return value)
-//     gets a deep fork, so no caller can mutate a shared artifact. The fork
-//     discipline is what lets campaigns mutate their world (IXP joins,
-//     link flaps) without perturbing anyone else's fetch.
+//   - Frozen on insert, shared on read: the store freezes the builder's
+//     original and hands that same value to every fetch (including the
+//     builder's own return value). The one exception is a value engines
+//     mutate — a world, whose IXP joins and link flaps happen in place —
+//     whose Spec.Fork copies it per fetch so no caller perturbs another's.
 //
 // A nil *Store is the universal off switch: GetOrBuild builds directly and
-// returns the value unforked — exactly the code path the experiments ran
-// before this layer existed, which is how `-cache=off` stays byte-identical
-// to the pinned goldens by construction.
+// returns the value unfrozen and unforked — exactly the code path the
+// experiments ran before this layer existed, which is how `-cache=off`
+// stays byte-identical to the pinned goldens by construction.
 package artifact
 
 import (
@@ -103,17 +103,16 @@ type Spec[T any] struct {
 	// Build constructs the artifact from scratch. It must be a pure
 	// function of the key's coordinates: equal keys must build equal values.
 	Build func(ctx context.Context) (T, error)
-	// Fork returns an independent copy sharing no *mutable* state with its
-	// argument. Every GetOrBuild return value passes through Fork, so
-	// callers own what they get. With a Freeze hook the stored original is
-	// immutable, so Fork may be a pointer-cheap copy-on-write view rather
-	// than a deep copy. Required when the store is non-nil.
+	// Fork, if non-nil, copies the stored value for each fetch: only for
+	// artifacts callers mutate (a world), and the copy must share no
+	// mutable state with its argument. Nil means every fetch gets the
+	// stored value itself, which callers must treat as read-only.
 	Fork func(T) T
 	// Freeze, if non-nil, runs exactly once on the freshly built value —
-	// after a successful Build, before the value is stored or any Fork is
-	// taken — marking it immutable so forks can share structure safely.
-	// The nil-store path never freezes: cache-off callers own a fully
-	// mutable value, exactly as before the cache existed.
+	// after a successful Build, before the value is stored or handed out —
+	// making writes to the stored original fail loudly. The nil-store path
+	// never freezes: cache-off callers own a fully mutable value, exactly
+	// as before the cache existed.
 	Freeze func(T)
 	// Size estimates the artifact's resident bytes for the LRU byte bound.
 	// Nil counts the entry as zero bytes (the entry bound still applies).
@@ -293,9 +292,8 @@ func (s *Store) evictLocked() {
 // GetOrBuild returns the artifact for key, building it at most once per
 // residency: the first requester runs spec.Build, concurrent requesters for
 // the same key block on that build (honoring ctx while they wait), and
-// later requesters fork the cached value. Every successful return value is
-// spec.Fork of the stored original — callers own their copy and may mutate
-// it freely.
+// later requesters share the cached value. Every successful return value is
+// the stored original, or spec.Fork of it when the spec has one.
 //
 // With a disk tier attached (WithDisk) and a Codec on the spec, a memory
 // miss probes the disk before building — a verified file decodes, freezes
@@ -316,9 +314,6 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	var zero T
 	if s == nil {
 		return spec.Build(ctx)
-	}
-	if spec.Fork == nil {
-		return zero, fmt.Errorf("artifact: %s: Spec.Fork is required with a live store", key)
 	}
 
 	var e *entry
@@ -356,7 +351,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 			}
 			return zero, e.err
 		}
-		return spec.Fork(e.val.(T)), nil
+		return spec.fork(e.val.(T)), nil
 	}
 
 	// Miss: insert the pending entry (lock still held from the loop), then
@@ -384,11 +379,9 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 		return zero, err
 	}
 	if spec.Freeze != nil {
-		// Freeze before the value is stored or any fork escapes: every
-		// Fork — including the builder's own return value below — sees an
-		// immutable original and may share structure with it. Disk-loaded
-		// values freeze identically: a decode must be indistinguishable
-		// from a build.
+		// Freeze before the value is stored or escapes, the builder's own
+		// return value included. Disk-loaded values freeze identically: a
+		// decode must be indistinguishable from a build.
 		spec.Freeze(val)
 	}
 	if !fromDisk {
@@ -403,7 +396,15 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	close(e.ready)
 	s.evictLocked()
 	s.mu.Unlock()
-	return spec.Fork(val), nil
+	return spec.fork(val), nil
+}
+
+// fork applies spec.Fork, or hands the stored value out as is without one.
+func (spec Spec[T]) fork(v T) T {
+	if spec.Fork == nil {
+		return v
+	}
+	return spec.Fork(v)
 }
 
 // resolveMiss produces the value for a pending entry: from the disk tier

@@ -289,15 +289,36 @@ func TestGetOrBuildNilStore(t *testing.T) {
 	}
 }
 
-func TestGetOrBuildRequiresFork(t *testing.T) {
+// TestGetOrBuildNilForkSharesValue pins the shared-frozen contract: with no
+// Spec.Fork the builder's own return value and every later hit are the one
+// stored pointer, frozen exactly once before it escapes.
+func TestGetOrBuildNilForkSharesValue(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore()
 	key, _ := NewKey("world", "s", 0, nil)
-	_, err := GetOrBuild(ctx, s, key, Spec[*[]int]{
-		Build: func(ctx context.Context) (*[]int, error) { v := []int{1}; return &v, nil },
-	})
-	if err == nil || !strings.Contains(err.Error(), "Fork is required") {
-		t.Fatalf("err = %v, want Fork-required", err)
+	var freezes atomic.Int64
+	spec := Spec[*[]int]{
+		Build:  func(ctx context.Context) (*[]int, error) { v := []int{1}; return &v, nil },
+		Freeze: func(*[]int) { freezes.Add(1) },
+	}
+	built, err := GetOrBuild(ctx, s, key, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		hit, err := GetOrBuild(ctx, s, key, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != built {
+			t.Fatalf("hit %d returned %p, want the builder's %p", i, hit, built)
+		}
+	}
+	if n := freezes.Load(); n != 1 {
+		t.Fatalf("Freeze ran %d times, want 1", n)
+	}
+	if st := s.Stats(); st.Builds != 1 || st.Hits != 3 {
+		t.Fatalf("stats = %+v, want 1 build and 3 hits", st)
 	}
 }
 

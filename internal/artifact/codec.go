@@ -162,7 +162,7 @@ type Codec[T any] struct {
 	Encode func(T) ([]byte, error)
 	// Decode reconstructs an artifact from Encode's output. The result must
 	// be indistinguishable from a fresh Build with the same key — it is
-	// frozen and forked exactly like one. Decode must validate: arbitrary
+	// frozen and handed out exactly like one. Decode must validate: arbitrary
 	// bytes may error but never panic and never yield a half-valid value.
 	Decode func([]byte) (T, error)
 }

@@ -253,9 +253,10 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	return campaign{world: s, store: store}, nil
 }
 
-// fetchCampaign returns a caller-owned campaign — post-simulation world and
-// measurement store — through the artifact cache when one rides the
-// context, or by simulating directly when not. Params are normalized (see
+// fetchCampaign returns a campaign — a caller-owned post-simulation world
+// and a measurement store that is read-only (frozen) when cached — through
+// the artifact cache when one rides the context, or by simulating directly
+// when not. Params are normalized (see
 // campaignParamsFrom) before both keying and building, so everyone who
 // shares a key also shares the exact build recipe.
 func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64, p campaignParams) (*scenario.World, *platform.Store, error) {
@@ -273,8 +274,10 @@ func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint
 	}
 	c, err := artifact.GetOrBuild(ctx, st, key, artifact.Spec[campaign]{
 		Build: func(ctx context.Context) (campaign, error) { return runCampaign(ctx, pool, id, seed, p) },
+		// Only the world is copied: callers may mutate it, while the
+		// frozen measurement store is shared read-only.
 		Fork: func(c campaign) campaign {
-			return campaign{world: c.world.Fork(), store: c.store.Fork()}
+			return campaign{world: c.world.Fork(), store: c.store}
 		},
 		Freeze: func(c campaign) {
 			c.world.Freeze()

@@ -43,8 +43,8 @@ type Config struct {
 	// and measurement campaigns by content-addressed key, so experiments that
 	// request the same ⟨kind, scenario, seed, config⟩ share one build. Nil
 	// disables caching: every fetch falls through to a fresh build, which is
-	// byte-identical to the cached path by construction (fetches return
-	// defensive forks either way the store is consulted).
+	// byte-identical to the cached path by construction (cached worlds are
+	// forked per fetch; every other cached artifact is shared frozen).
 	Artifacts *artifact.Store
 	// Opts are the experiment's typed options; nil runs the registered
 	// defaults (Experiment.Defaults). Passing options of another

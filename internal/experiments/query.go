@@ -496,7 +496,7 @@ const (
 	queryFrameCodecVersion = "qframe-gob-v1"
 )
 
-// fetchQueryFrame returns a caller-owned observational frame for
+// fetchQueryFrame returns a read-only observational frame for
 // ⟨scenario, seed, hours⟩, through the artifact store when one rides the
 // context (singleflight: concurrent identical queries share one simulation)
 // and by direct build otherwise — byte-identical either way. The scenario id
@@ -515,7 +515,6 @@ func fetchQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string,
 		Build: func(ctx context.Context) (*queryFrame, error) {
 			return buildQueryFrame(ctx, pool, scenarioID, seed, hours)
 		},
-		Fork: (*queryFrame).fork,
 		Size: (*queryFrame).sizeBytes,
 		Codec: &artifact.Codec[*queryFrame]{
 			Version: queryFrameCodecVersion,
@@ -548,17 +547,6 @@ func buildQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string,
 		TrueSum:  sim.trueSum,
 		TrueN:    sim.trueN,
 	}, nil
-}
-
-// fork deep-copies: the frame has no Freeze hook, so the stored original
-// must share nothing mutable with what callers get.
-func (q *queryFrame) fork() *queryFrame {
-	cp := *q
-	cp.R = append([]float64(nil), q.R...)
-	cp.L = append([]float64(nil), q.L...)
-	cp.C = append([]float64(nil), q.C...)
-	cp.Hour = append([]float64(nil), q.Hour...)
-	return &cp
 }
 
 func (q *queryFrame) sizeBytes() int64 {

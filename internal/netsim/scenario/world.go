@@ -71,13 +71,10 @@ func (s *World) UserPoP(u Unit) (topo.PoPID, error) {
 func (s *World) MeasureDst() topo.ASN { return s.ContentASNs[0] }
 
 // Freeze marks the world immutable: the underlying topology freezes, so
-// subsequent Forks get copy-on-write clones that share the whole structure
-// until their first mutation. The artifact store calls this once after a
-// successful build, before any fork is handed out.
+// mutating it panics and callers must mutate a Fork instead. The artifact
+// store calls this once after a successful build, before any fork is handed
+// out.
 func (s *World) Freeze() { s.Topo.Freeze() }
-
-// Frozen reports whether Freeze has been called.
-func (s *World) Frozen() bool { return s.Topo.Frozen() }
 
 // SizeBytes estimates the world's resident size for the artifact store's
 // byte bound: the topology dominates; the casting lists ride on a small flat
@@ -104,9 +101,8 @@ func (s *World) SizeBytes() int64 {
 
 // Fork returns an independent copy of the world: the topology is cloned
 // (so IXP joins and link flaps stay private to the copy) and every slice is
-// copied. On a frozen world the topology clone is pointer-cheap —
-// copy-on-write — so the fork costs only the small casting slices.
-// Required by the artifact store's copy-on-read rule.
+// copied. The artifact store forks each world it hands out, because
+// engines mutate their world in place.
 func (s *World) Fork() *World {
 	out := &World{
 		Topo:              s.Topo.Clone(),

@@ -163,7 +163,7 @@ func (b *Builder) Build() (*Topology, error) {
 // member. Returns the new link IDs. This is the E1 "treatment" — the paper's
 // intervention is exactly this call happening mid-measurement-campaign.
 func (t *Topology) JoinIXP(name string, asn ASN) ([]LinkID, error) {
-	t.mutable("JoinIXP") // CoW promotion must precede the IXP lookup below
+	t.mutable("JoinIXP")
 	x, err := t.IXP(name)
 	if err != nil {
 		return nil, err

@@ -2,31 +2,9 @@ package topo
 
 // Clone returns an independent copy of the topology: a caller may join
 // IXPs, flap links, or otherwise mutate the copy without perturbing the
-// original.
-//
-// On a frozen topology (the artifact store's case) this is pointer-cheap:
-// the clone shares every structure with the frozen original and copies the
-// mutable overlay lazily, on its first mutation. An unmutated clone
-// therefore costs one struct allocation, which is what makes artifact
-// cache hits nearly free.
-//
-// On a mutable topology it falls back to the eager deep copy: the original
-// may still change, so sharing would not be safe.
+// original. The mutable overlay is copied eagerly; the immutable core is
+// shared. Cloning a frozen topology yields a mutable copy.
 func (t *Topology) Clone() *Topology {
-	if t.frozen {
-		return &Topology{
-			Registry:     t.Registry,
-			ases:         t.ases,
-			asOrder:      t.asOrder,
-			pops:         t.pops,
-			popIndex:     t.popIndex,
-			links:        t.links,
-			adj:          t.adj,
-			ixps:         t.ixps,
-			ixpMemberIdx: t.ixpMemberIdx,
-			cow:          true,
-		}
-	}
 	out := &Topology{
 		Registry:     t.Registry,
 		ases:         t.ases,    // immutable core: shared even on deep copies

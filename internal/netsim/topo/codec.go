@@ -32,7 +32,7 @@ type IXPExport struct {
 }
 
 // Export snapshots the topology into its serialized form. Safe on frozen
-// topologies and CoW views (it only reads).
+// topologies (it only reads).
 func (t *Topology) Export() *Export {
 	e := &Export{
 		Cities: t.Registry.Cities(),

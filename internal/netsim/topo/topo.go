@@ -115,19 +115,17 @@ type IXP struct {
 
 // Topology is the full simulated network. Construct with NewBuilder.
 //
-// A topology has three lifecycle states:
+// A topology has two lifecycle states:
 //
 //   - mutable: what the builder returns. JoinIXP and SetLinkUp mutate in
-//     place; Clone deep-copies.
-//   - frozen: after Freeze(). The topology is immutable — mutators panic —
-//     and Clone returns a copy-on-write view sharing every structure with
-//     the frozen original. This is what the artifact store keeps.
-//   - CoW view: a Clone of a frozen topology. Reads hit the shared frozen
-//     structures directly; the first mutation promotes the small mutable
-//     overlay (links, adjacency, IXP membership) into private copies. The
-//     immutable core — AS records, PoPs, their indexes, and the geo
-//     registry — is shared by reference forever: nothing mutates it after
-//     Build.
+//     place.
+//   - frozen: after Freeze(). The topology is immutable — mutators panic.
+//     This is what the artifact store keeps.
+//
+// Clone works in both states: it copies the small mutable overlay (links,
+// adjacency, IXP membership) and shares the immutable core — AS records,
+// PoPs, their indexes, and the geo registry — by reference, since nothing
+// writes it after Build.
 type Topology struct {
 	Registry *geo.Registry
 	// Immutable core: never written after Build, shared by every clone.
@@ -136,8 +134,7 @@ type Topology struct {
 	pops     []PoP
 	popIndex map[popKey]PoPID
 	// Mutable overlay: IXP membership (JoinIXP grows links/adj/ixps) and
-	// link operational state (SetLinkUp). CoW views copy these on first
-	// write; the frozen original's copies are never written again.
+	// link operational state (SetLinkUp). Clone copies these.
 	links []*Link
 	adj   map[PoPID][]LinkID
 	ixps  map[string]*IXP
@@ -146,70 +143,26 @@ type Topology struct {
 
 	// frozen marks the immutable original the artifact store holds.
 	frozen bool
-	// cow marks a clone still sharing the mutable overlay with a frozen
-	// base; promote() copies the overlay before the first write.
-	cow bool
 }
 
-// Freeze marks the topology immutable: every subsequent mutation panics,
-// and Clone switches from deep copies to pointer-cheap copy-on-write views.
-// The artifact store freezes each built world exactly once, before the
-// first fork escapes; freezing is irreversible.
+// Freeze marks the topology immutable: every subsequent mutation panics.
+// The artifact store freezes each built world exactly once, before it is
+// first handed out; freezing is irreversible.
 func (t *Topology) Freeze() { t.frozen = true }
 
 // Frozen reports whether Freeze was called.
 func (t *Topology) Frozen() bool { return t.frozen }
 
-// mutable panics if the topology is frozen, and otherwise promotes the
-// shared overlay so the caller may write. Every mutator calls it first —
-// it is the single choke point enforcing the copy-on-write contract.
+// mutable panics if the topology is frozen. Every mutator calls it first.
 func (t *Topology) mutable(op string) {
 	if t.frozen {
 		panic(fmt.Sprintf("topo: %s on frozen topology (mutate a Clone instead)", op))
 	}
-	t.promote()
-}
-
-// promote gives a CoW view private copies of the mutable overlay: links
-// (deep, so Up flips stay local), adjacency, and IXP membership. The
-// immutable core stays shared. No-op unless the view still shares.
-func (t *Topology) promote() {
-	if !t.cow {
-		return
-	}
-	links := make([]*Link, len(t.links))
-	for i, l := range t.links {
-		c := *l
-		links[i] = &c
-	}
-	t.links = links
-	adj := make(map[PoPID][]LinkID, len(t.adj))
-	for p, ids := range t.adj {
-		adj[p] = append([]LinkID(nil), ids...)
-	}
-	t.adj = adj
-	ixps := make(map[string]*IXP, len(t.ixps))
-	for name, x := range t.ixps {
-		c := *x
-		c.Members = append([]ASN(nil), x.Members...)
-		ixps[name] = &c
-	}
-	t.ixps = ixps
-	idx := make(map[string]map[ASN]int, len(t.ixpMemberIdx))
-	for name, m := range t.ixpMemberIdx {
-		cm := make(map[ASN]int, len(m))
-		for asn, i := range m {
-			cm[asn] = i
-		}
-		idx[name] = cm
-	}
-	t.ixpMemberIdx = idx
-	t.cow = false
 }
 
 // SetLinkUp sets a link's operational state. This is the only supported way
-// to flip link state: Link returns shared interior pointers on CoW views,
-// so writing Up through them would corrupt the frozen original.
+// to flip link state: writing Up through a Link pointer would bypass the
+// frozen check.
 func (t *Topology) SetLinkUp(id LinkID, up bool) {
 	t.mutable("SetLinkUp")
 	t.links[int(id)].Up = up

@@ -57,23 +57,16 @@ func (c *StreamCoverage) add(m *probe.Measurement) {
 // genuine duplicate deliveries (fault-injected retransmits) arrive as
 // distinct records with DuplicateOf set — and maintains per-intent coverage
 // counters so analyses can report how much data each stream stood on.
-// A Store has a freeze lifecycle mirroring the other artifact kinds: once a
-// campaign completes, the artifact cache calls Freeze and the store becomes
-// read-only — Add fails, and Fork degrades to sharing the measurement slice
-// by reference (measurements are never written after ingestion) while
-// copying only the dedup/coverage indexes. Under the race detector, Freeze
-// fingerprints the measurement interiors and later forks re-verify it, so
+// Once a campaign completes, the artifact cache calls Freeze and shares the
+// store read-only with every reader: Add fails. Under the race detector,
+// Freeze fingerprints the measurement interiors and All re-verifies it, so
 // any illegal write through a shared *Measurement is caught loudly.
 type Store struct {
-	ms   []*probe.Measurement
-	seen map[int]bool
-	// frozenSeen is the read-only dedup base a copy-on-write fork shares
-	// with its frozen parent; seen holds only the fork's own additions. A
-	// dedup probe consults both. Nil on stores built from scratch.
-	frozenSeen map[int]bool
-	cov        map[probe.Intent]*StreamCoverage
-	frozen     bool
-	fp         uint64 // race builds only: interior fingerprint taken at Freeze
+	ms     []*probe.Measurement
+	seen   map[int]bool
+	cov    map[probe.Intent]*StreamCoverage
+	frozen bool
+	fp     uint64 // race builds only: interior fingerprint taken at Freeze
 }
 
 // NewStore returns an empty store.
@@ -84,13 +77,13 @@ func NewStore() *Store {
 // Add appends measurements, rejecting any whose ID the store has already
 // seen. On error the offending record and everything after it are not
 // added; earlier records in the same call remain (the caller is mid-crash
-// anyway — Campaign surfaces the error and stops the run).
+// anyway — it surfaces the error and stops the run).
 func (s *Store) Add(ms ...*probe.Measurement) error {
 	if s.frozen {
-		return fmt.Errorf("platform: Add on frozen store (mutate a Fork instead)")
+		return fmt.Errorf("platform: Add on frozen store (the store is shared read-only)")
 	}
 	for _, m := range ms {
-		if s.seen[m.ID] || s.frozenSeen[m.ID] {
+		if s.seen[m.ID] {
 			return fmt.Errorf("platform: duplicate measurement ID %d (intent %s, hour %.2f)", m.ID, m.Intent, m.Hour)
 		}
 		s.seen[m.ID] = true
@@ -108,8 +101,16 @@ func (s *Store) Add(ms ...*probe.Measurement) error {
 // Len returns the number of stored measurements.
 func (s *Store) Len() int { return len(s.ms) }
 
-// All returns all measurements (shared backing slice; do not mutate).
-func (s *Store) All() []*probe.Measurement { return s.ms }
+// All returns all measurements (shared backing slice; do not mutate). On a
+// frozen store under the race detector it first re-verifies the interior
+// fingerprint taken at Freeze, so a write through a shared *Measurement
+// panics at the next read.
+func (s *Store) All() []*probe.Measurement {
+	if raceEnabled && s.frozen && s.fp != s.fingerprint() {
+		panic("platform: frozen store's measurements were mutated in place (write through a shared *Measurement)")
+	}
+	return s.ms
+}
 
 // Coverage returns a copy of the per-intent stream coverage counters.
 func (s *Store) Coverage() map[probe.Intent]StreamCoverage {

@@ -408,7 +408,8 @@ type respKeyConfig struct {
 // cachedResponse funnels a response build through the shared store when one
 // exists: concurrent identical requests collapse into one experiment run
 // (singleflight), later ones are byte-for-byte cache hits, and a cancelled
-// builder neither poisons the store nor aborts other requests' joins.
+// builder neither poisons the store nor aborts other requests' joins. Hits
+// share the stored bytes: handlers only write them out, never modify them.
 func (s *Server) cachedResponse(ctx context.Context, kind, scenKey string, seed uint64,
 	cfg any, build func(context.Context) ([]byte, error)) ([]byte, error) {
 	if s.cfg.Store == nil {
@@ -420,7 +421,6 @@ func (s *Server) cachedResponse(ctx context.Context, kind, scenKey string, seed 
 	}
 	return artifact.GetOrBuild(ctx, s.cfg.Store, key, artifact.Spec[[]byte]{
 		Build: build,
-		Fork:  func(b []byte) []byte { return append([]byte(nil), b...) },
 		Size:  func(b []byte) int64 { return int64(len(b)) },
 	})
 }
