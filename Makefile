@@ -98,10 +98,12 @@ bench-stages:
 # eager world copy every world or campaign fetch pays, and the RIB rebind
 # onto it) and compare ns/op against the committed BENCH_sisyphus.json.
 # benchjson -compare exits 1 when any benchmark slows by more than the
-# threshold; added/removed benchmarks never fail.
+# threshold; added/removed benchmarks never fail. -cpu=1 keeps the names
+# free of the -GOMAXPROCS suffix, so they match the committed rows on any
+# machine.
 FORK_THRESHOLD ?= 0.50
 bench-forks:
-	$(GO) test -run='^$$' -bench='^BenchmarkFork' -benchtime=1000x -timeout 10m . \
+	$(GO) test -run='^$$' -bench='^BenchmarkFork' -benchtime=1000x -cpu=1 -timeout 10m . \
 		| $(GO) run ./cmd/benchjson -out BENCH_forks_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold $(FORK_THRESHOLD) BENCH_sisyphus.json BENCH_forks_new.json
 

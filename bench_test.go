@@ -49,7 +49,7 @@ func BenchmarkConfounderAdjustment(b *testing.B) {
 // BenchmarkColliderBias regenerates the speed-test collider box.
 func BenchmarkColliderBias(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunCollider(context.Background(), parallel.Pool{}, uint64(i), 800); err != nil {
+		if _, err := experiments.RunCollider(context.Background(), uint64(i), 800); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkExposureVsImpact(b *testing.B) {
 // BenchmarkIntentTagging regenerates the §4 platform-design demonstration.
 func BenchmarkIntentTagging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunIntent(context.Background(), parallel.Pool{}, uint64(i), 500); err != nil {
+		if _, err := experiments.RunIntent(context.Background(), uint64(i), 500); err != nil {
 			b.Fatal(err)
 		}
 	}

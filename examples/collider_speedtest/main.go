@@ -14,7 +14,6 @@ import (
 
 	"sisyphus/internal/causal/dag"
 	"sisyphus/internal/experiments"
-	"sisyphus/internal/parallel"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 	}
 	fmt.Println()
 
-	res, err := experiments.RunCollider(context.Background(), parallel.Default(), 42, 3000)
+	res, err := experiments.RunCollider(context.Background(), 42, 3000)
 	if err != nil {
 		log.Fatal(err)
 	}

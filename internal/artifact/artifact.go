@@ -235,10 +235,13 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// PerKey returns a snapshot of per-key counters keyed by the full Key
-// value, letting tests assert the exactly-once build property per
-// coordinate. Keying by the comparable Key — not a rendered string — means
-// two configs whose hashes share a prefix can never fold onto one slot.
+// PerKey returns a snapshot of per-key counters for the resident keys (in
+// flight or built), keyed by the full Key value, letting tests assert the
+// exactly-once build property per coordinate. A key's counters go when its
+// entry does — evicted, or removed after a failed build — so the map stays
+// bounded like the store itself. Keying by the comparable Key — not a
+// rendered string — means two configs whose hashes share a prefix can
+// never fold onto one slot.
 func (s *Store) PerKey() map[Key]KeyStats {
 	if s == nil {
 		return nil
@@ -284,6 +287,7 @@ func (s *Store) evictLocked() {
 			return // everything resident is in flight
 		}
 		delete(s.entries, victim.key)
+		delete(s.perKey, victim.key)
 		s.bytes -= victim.size
 		s.stats.Evictions++
 	}
@@ -373,6 +377,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 		// retries, then release every waiter with the error.
 		s.mu.Lock()
 		delete(s.entries, key)
+		delete(s.perKey, key)
 		e.err = err
 		close(e.ready)
 		s.mu.Unlock()

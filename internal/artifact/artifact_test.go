@@ -355,6 +355,39 @@ func TestLRUEvictsByEntryBound(t *testing.T) {
 	}
 }
 
+// TestPerKeyBoundedByResidency: per-key counters go with their entry, so a
+// store that has seen ten times its entry bound in distinct keys keeps
+// counters only for what is resident — and a failed build leaves none.
+func TestPerKeyBoundedByResidency(t *testing.T) {
+	ctx := context.Background()
+	const maxEntries = 4
+	s := NewStore(WithMaxEntries(maxEntries))
+	for i := 0; i < 10*maxEntries; i++ {
+		key, _ := NewKey("world", fmt.Sprintf("w%d", i), 0, nil)
+		if _, err := GetOrBuild(ctx, s, key, boxSpec(nil, []int{i})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail := Spec[*[]int]{Build: func(context.Context) (*[]int, error) { return nil, errors.New("boom") }}
+	bad, _ := NewKey("world", "bad", 0, nil)
+	if _, err := GetOrBuild(ctx, s, bad, fail); err == nil {
+		t.Fatal("failing build succeeded")
+	}
+	st := s.Stats()
+	pk := s.PerKey()
+	if len(pk) > st.Entries {
+		t.Fatalf("PerKey holds %d keys, more than the %d resident entries", len(pk), st.Entries)
+	}
+	if len(pk) != maxEntries {
+		t.Fatalf("PerKey holds %d keys, want one per resident entry (%d)", len(pk), maxEntries)
+	}
+	for k, got := range pk {
+		if got.Builds != 1 || got.Misses != 1 {
+			t.Fatalf("resident %s has per-key stats %+v, want 1 build / 1 miss", k.ID(), got)
+		}
+	}
+}
+
 func TestLRUEvictsByByteBound(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore(WithMaxBytes(100))

@@ -209,7 +209,7 @@ func TestFetchWorldMutationSafety(t *testing.T) {
 	if rib2.Topo != s2.Topo {
 		t.Fatal("refetched RIB is not rebound onto the refetched world")
 	}
-	if rib2.Lookup(3741, scenario.BigContent) == nil {
+	if rt, err := rib2.Lookup(3741, scenario.BigContent); err != nil || rt == nil {
 		t.Fatal("refetched RIB lost the 3741 → BigContent route")
 	}
 	// The store was consulted: one build per key, later fetches were hits.

@@ -179,7 +179,7 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	if err != nil {
 		return campaign{}, err
 	}
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
+	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, InitialRIB: rib}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
 	// Each world gets its own injector so the factual and counterfactual
 	// runs see identical fault streams (same seed, same pre-split rule).

@@ -9,7 +9,6 @@ import (
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
-	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
 )
@@ -58,7 +57,7 @@ func (r *ColliderResult) Render() string {
 // paths to the content are symmetric, and an operator flips preference at
 // exogenous random times. Congestion noise degrades RTT independently.
 // Both events raise the probability that users run speed tests.
-func RunCollider(ctx context.Context, pool parallel.Pool, seed uint64, hours int) (*ColliderResult, error) {
+func RunCollider(ctx context.Context, seed uint64, hours int) (*ColliderResult, error) {
 	if hours <= 0 {
 		hours = 2000
 	}
@@ -66,7 +65,7 @@ func RunCollider(ctx context.Context, pool parallel.Pool, seed uint64, hours int
 	var change, degraded, tested []float64
 	var selChange, selDegraded []float64
 	err := stagedRun(ctx, "collider", func(ctx context.Context) error {
-		return colliderScenario(ctx, pool, seed, hours, &change, &degraded, &tested)
+		return colliderScenario(ctx, seed, hours, &change, &degraded, &tested)
 	}, func(ctx context.Context) error {
 		// Dataset: the selected subsample — hours where a test ran.
 		for i := range tested {
@@ -98,7 +97,7 @@ func RunCollider(ctx context.Context, pool parallel.Pool, seed uint64, hours int
 
 // colliderScenario builds the symmetric two-transit world and simulates it,
 // collecting the per-hour (route changed, degraded, tested) indicators.
-func colliderScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours int, change, degraded, tested *[]float64) error {
+func colliderScenario(ctx context.Context, seed uint64, hours int, change, degraded, tested *[]float64) error {
 	// Symmetric world: two equal transits, both in Johannesburg, equal
 	// base utilization, so switching between them is performance-neutral.
 	b := topo.NewBuilder(nil).
@@ -114,7 +113,7 @@ func colliderScenario(ctx context.Context, pool parallel.Pool, seed uint64, hour
 	if err != nil {
 		return err
 	}
-	e := engine.New(tp, seed, engine.Config{Pool: pool}).Bind(ctx)
+	e := engine.New(tp, seed, engine.Config{}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
 	src, err := tp.FindPoP(7000, "Johannesburg")
 	if err != nil {
@@ -210,7 +209,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return RunCollider(ctx, cfg.Pool, cfg.Seed, o.Hours)
+			return RunCollider(ctx, cfg.Seed, o.Hours)
 		},
 	})
 }

@@ -129,7 +129,7 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 	}
 	dst := s.MeasureDst()
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
+	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, InitialRIB: rib}).Bind(ctx)
 
 	// The eyeball's content routes prefer its primary transit (shorter path,
 	// lower ASN), so recurring flash crowds on that link trigger

@@ -65,7 +65,7 @@ func RunCounterfactual(ctx context.Context, pool parallel.Pool, seed uint64, o W
 			return nil, nil, nil, nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 		}
 		dst := s.MeasureDst()
-		e := engine.New(s.Topo, seed, engine.Config{Pool: pool, InitialRIB: rib}).Bind(ctx)
+		e := engine.New(s.Topo, seed, engine.Config{InitialRIB: rib}).Bind(ctx)
 		rel, err := s.Topo.Relationships()
 		if err != nil {
 			return nil, nil, nil, nil, err

@@ -135,7 +135,7 @@ func TestConfoundingRecoversGroundTruth(t *testing.T) {
 }
 
 func TestColliderFabricatesAssociation(t *testing.T) {
-	res, err := RunCollider(context.Background(), parallel.Pool{}, 7, 2500)
+	res, err := RunCollider(context.Background(), 7, 2500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestExposureIsNotImpact(t *testing.T) {
 }
 
 func TestIntentTagsSeparateBias(t *testing.T) {
-	res, err := RunIntent(context.Background(), parallel.Pool{}, 7, 1200)
+	res, err := RunIntent(context.Background(), 7, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}

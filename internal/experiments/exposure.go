@@ -94,7 +94,7 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 			return fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 		}
 		dst = s.MeasureDst()
-		e = engine.New(s.Topo, seed, engine.Config{Pool: pool, InitialRIB: rib}).Bind(ctx)
+		e = engine.New(s.Topo, seed, engine.Config{InitialRIB: rib}).Bind(ctx)
 		if err := e.RunUntil(12); err != nil {
 			return err
 		}

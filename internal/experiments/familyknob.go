@@ -102,7 +102,7 @@ func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 	}
 	dst := s.MeasureDst()
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
+	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, InitialRIB: rib}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
 	knobs := platform.NewKnobs(pr, seed+2)
 

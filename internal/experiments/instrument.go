@@ -115,7 +115,7 @@ func instrumentScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 	}
 	dst := s.MeasureDst()
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
+	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, InitialRIB: rib}).Bind(ctx)
 	rel, err := s.Topo.Relationships()
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
-	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
 )
@@ -52,7 +51,7 @@ func (r *IntentResult) Render() string {
 // endogenous user tests, and BGP-triggered traceroutes — over a world with
 // congestion episodes and occasional reroutes, then contrasts the analyses
 // the intent tags make possible.
-func RunIntent(ctx context.Context, pool parallel.Pool, seed uint64, hours int) (*IntentResult, error) {
+func RunIntent(ctx context.Context, seed uint64, hours int) (*IntentResult, error) {
 	if hours <= 0 {
 		hours = 1500
 	}
@@ -62,7 +61,7 @@ func RunIntent(ctx context.Context, pool parallel.Pool, seed uint64, hours int) 
 	var truthN int
 	var base, user []*probe.Measurement
 	err := stagedRun(ctx, "intent", func(ctx context.Context) error {
-		return intentScenario(ctx, pool, seed, hours, store, &truthSum, &truthN)
+		return intentScenario(ctx, seed, hours, store, &truthSum, &truthN)
 	}, func(ctx context.Context) error {
 		base = store.ByIntent(probe.IntentBaseline)
 		user = store.ByIntent(probe.IntentUserInitiated)
@@ -99,7 +98,7 @@ func RunIntent(ctx context.Context, pool parallel.Pool, seed uint64, hours int) 
 // intentScenario builds the dual-transit eyeball world and runs the mixed
 // campaign — user tests, scheduled baselines, BGP-triggered traceroutes —
 // landing everything in the store while tracking the population truth.
-func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours int, store *platform.Store, truthSum *float64, truthN *int) error {
+func intentScenario(ctx context.Context, seed uint64, hours int, store *platform.Store, truthSum *float64, truthN *int) error {
 	b := topo.NewBuilder(nil).
 		AddAS(100, "T-A", topo.Transit, "Johannesburg").
 		AddAS(101, "T-B", topo.Transit, "Johannesburg").
@@ -113,7 +112,7 @@ func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours 
 	if err != nil {
 		return err
 	}
-	e := engine.New(tp, seed, engine.Config{AdaptiveEgress: true, Pool: pool}).Bind(ctx)
+	e := engine.New(tp, seed, engine.Config{AdaptiveEgress: true}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
 	src, err := tp.FindPoP(7000, "Johannesburg")
 	if err != nil {
@@ -196,7 +195,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return RunIntent(ctx, cfg.Pool, cfg.Seed, o.Hours)
+			return RunIntent(ctx, cfg.Seed, o.Hours)
 		},
 	})
 }

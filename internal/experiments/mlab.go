@@ -110,7 +110,7 @@ func mlabScenario(ctx context.Context, pool parallel.Pool, scenarioID string, se
 	if err != nil {
 		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 	}
-	e := engine.New(s.Topo, seed, engine.Config{Pool: pool, InitialRIB: rib}).Bind(ctx)
+	e := engine.New(s.Topo, seed, engine.Config{InitialRIB: rib}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
 
 	// Congest the site-B side periodically.

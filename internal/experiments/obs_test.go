@@ -206,7 +206,7 @@ func TestSuiteMetricsNonEmptyAndRoundTrip(t *testing.T) {
 		{"table1", "store.delivered"},
 		{"table1", "store.coverage"},
 		{"collider", "bgp.sweeps"},
-		{"collider", "parallel.tasks"},
+		{"table1", "parallel.tasks"},
 		{"power", "power.trials"},
 		{"chaos", "faults.drops"},
 	} {

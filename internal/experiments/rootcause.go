@@ -99,7 +99,7 @@ func RunRootCause(ctx context.Context, pool parallel.Pool, seed uint64, o RootCa
 			return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 		}
 		content := s.MeasureDst()
-		e := engine.New(s.Topo, seed, engine.Config{Pool: pool, InitialRIB: rib}).Bind(ctx)
+		e := engine.New(s.Topo, seed, engine.Config{InitialRIB: rib}).Bind(ctx)
 		rel, err := s.Topo.Relationships()
 		if err != nil {
 			return nil, err

@@ -14,11 +14,11 @@ package bgp
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/obs"
 	"sisyphus/internal/parallel"
 )
 
@@ -106,78 +106,130 @@ func (p *Policy) Clone() *Policy {
 	return out
 }
 
-// RIB is the converged set of routing tables: for every destination AS, the
-// best route at every AS that can reach it.
+// fingerprint encodes everything the policy changes about routing, in
+// ascending key order: LocalPref overrides, non-empty poison lists and
+// denied links. Equal fingerprints mean identical routing over the same
+// topology, however the maps were written; it is the policy half of a Memo
+// key.
+func (p *Policy) fingerprint() string {
+	if p == nil {
+		return ""
+	}
+	var b []byte
+	for _, a := range sortedKeys(p.LocalPref) {
+		m := p.LocalPref[a]
+		for _, n := range sortedKeys(m) {
+			b = append(b, 'L')
+			b = binary.AppendUvarint(b, uint64(a))
+			b = binary.AppendUvarint(b, uint64(n))
+			b = binary.AppendVarint(b, int64(m[n]))
+		}
+	}
+	for _, d := range sortedKeys(p.Poison) {
+		list := p.Poison[d]
+		if len(list) == 0 {
+			continue
+		}
+		b = append(b, 'P')
+		b = binary.AppendUvarint(b, uint64(d))
+		b = binary.AppendUvarint(b, uint64(len(list)))
+		for _, x := range list {
+			b = binary.AppendUvarint(b, uint64(x))
+		}
+	}
+	for _, id := range sortedKeys(p.DenyLink) {
+		if p.DenyLink[id] {
+			b = append(b, 'D')
+			b = binary.AppendVarint(b, int64(id))
+		}
+	}
+	return string(b)
+}
+
+func sortedKeys[K topo.ASN | topo.LinkID, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// RIB is a set of routing tables: for every destination AS, the best route
+// at every AS that can reach it.
 //
-// Nothing writes a RIB once Compute (or Import) returns it: a changed
-// policy or topology is a new Compute, never an edit to routes, tables or
-// the relationship map. That is what lets Fork share every table.
+// A RIB fills its tables lazily: a destination's fixed point is computed
+// the first time a lookup needs it, from inputs captured when the RIB was
+// created, and kept in a per-destination slot that is safe under concurrent
+// lookups. Compute and Import return complete RIBs, so a shared RIB never
+// computes. A slot is written at most once and no route is ever rewritten:
+// a changed policy or topology is a new RIB. That is what lets Fork share
+// every table.
 type RIB struct {
 	Topo *topo.Topology
 	Rel  *topo.ASRelationships
-	// best[dest][as] is as's chosen route to dest.
-	best map[topo.ASN]map[topo.ASN]*Route
-	// policy the RIB was computed under (for data-plane link filtering).
-	policy *Policy
+	c    *core
 }
 
-// Lookup returns a's route to dest, or nil if unreachable.
-func (r *RIB) Lookup(a, dest topo.ASN) *Route {
-	m := r.best[dest]
-	if m == nil {
-		return nil
+// Lookup returns a's route to dest, or nil if unreachable. Its error is the
+// failure to converge dest's table (or the RIB's cancelled context); a
+// failed table is not kept, so the next lookup tries again.
+func (r *RIB) Lookup(a, dest topo.ASN) (*Route, error) {
+	d, ok := r.c.index(dest)
+	if !ok {
+		return nil, nil
 	}
-	return m[a]
+	tbl, err := r.c.table(d)
+	if err != nil {
+		return nil, err
+	}
+	i, ok := r.c.index(a)
+	if !ok || tbl.state[i] != routed {
+		return nil, nil
+	}
+	return &tbl.routes[i], nil
 }
 
 // ASPath returns the full AS path from a to dest including both endpoints,
 // with any poisoned ASNs included as they appear in the announcement.
 func (r *RIB) ASPath(a, dest topo.ASN) ([]topo.ASN, error) {
-	rt := r.Lookup(a, dest)
+	rt, err := r.Lookup(a, dest)
+	if err != nil {
+		return nil, err
+	}
 	if rt == nil {
 		return nil, fmt.Errorf("bgp: AS%d has no route to AS%d", a, dest)
 	}
 	return append([]topo.ASN{a}, rt.Path...), nil
 }
 
-// maxSweeps bounds convergence iterations; Gao–Rexford systems settle in
-// O(diameter) sweeps, so hitting this means a policy dispute wheel.
-const maxSweeps = 200
-
 // Compute converges routing for every destination AS under the policy
-// (nil means default policy).
+// (nil means default policy): a lazy RIB with every destination forced.
 //
 // Destinations are independent fixed-point problems over read-only inputs
-// (topology, relationships, policy), so they fan out across pool;
-// per-destination tables come back in AS order and are assembled into the
-// RIB sequentially, making the result identical to the sequential loop.
-// Cancelling ctx stops scheduling further destinations and returns ctx.Err().
+// (topology, relationships, policy), so they fan out across pool; each
+// lands in its own slot, making the result identical to the sequential
+// loop. Cancelling ctx stops scheduling further destinations and returns
+// ctx.Err().
 func Compute(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Policy) (*RIB, error) {
-	if pol == nil {
-		pol = NewPolicy()
-	}
-	rel, err := relationshipsUnderPolicy(t, pol)
+	r, err := newRIB(ctx, t, pol)
 	if err != nil {
 		return nil, err
 	}
-	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route), policy: pol}
+	// Force in the topology's AS order, so a failure reports the same
+	// destination a sequential loop over t.ASes() would.
 	ases := t.ASes()
-	tables, err := parallel.Map(ctx, pool, len(ases), func(i int) (destTable, error) {
-		return computeDest(t, rel, pol, ases[i].ASN)
-	})
-	if err != nil {
+	if err := pool.ForEach(ctx, len(ases), func(i int) error {
+		d, _ := r.c.index(ases[i].ASN)
+		_, err := r.c.table(d)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	var sweeps int64
-	for i, tbl := range tables {
-		rib.best[ases[i].ASN] = tbl.best
-		sweeps += int64(tbl.sweeps)
-	}
-	// Fixed-point effort accounting (no-op without a recorder on ctx): how
-	// many destinations converged and how many sweeps that took in total.
-	obs.Add(ctx, "bgp.destinations", int64(len(ases)))
-	obs.Add(ctx, "bgp.sweeps", sweeps)
-	return rib, nil
+	// Complete: nothing computes lazily any more, so the RIB need not keep
+	// the caller's context alive.
+	r.c.ctx = nil
+	return r, nil
 }
 
 // relationshipsUnderPolicy rebuilds AS adjacency considering DenyLink.
@@ -209,104 +261,6 @@ func relationshipsUnderPolicy(t *topo.Topology, pol *Policy) (*topo.ASRelationsh
 	return rel, nil
 }
 
-// destTable is one destination's converged routing table plus the number of
-// sweeps the fixed point took — the effort metric the run trace reports.
-type destTable struct {
-	best   map[topo.ASN]*Route
-	sweeps int
-}
-
-func computeDest(t *topo.Topology, rel *topo.ASRelationships, pol *Policy, dest topo.ASN) (destTable, error) {
-	best := make(map[topo.ASN]*Route)
-	// The origin's announced path carries poisoned ASNs then itself.
-	poison := pol.Poison[dest]
-	best[dest] = &Route{Dest: dest, Path: nil, LocalPref: PrefCustomer}
-	// The origin announces itself; with poisoning it announces the classic
-	// sandwich "dest poisoned... dest" so poisoned ASes see themselves in
-	// the path and drop the route, while the next hop stays the origin.
-	originAnnouncement := []topo.ASN{dest}
-	if len(poison) > 0 {
-		originAnnouncement = append(append(originAnnouncement, poison...), dest)
-	}
-
-	// Deterministic AS sweep order.
-	order := make([]topo.ASN, 0)
-	for _, as := range t.ASes() {
-		order = append(order, as.ASN)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	// advertised(n) = the path n offers neighbors.
-	advertised := func(n topo.ASN) []topo.ASN {
-		if n == dest {
-			return originAnnouncement
-		}
-		r := best[n]
-		if r == nil {
-			return nil
-		}
-		return append([]topo.ASN{n}, r.Path...)
-	}
-
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		changed := false
-		for _, a := range order {
-			if a == dest {
-				continue
-			}
-			var cand *Route
-			// Deterministic neighbor order.
-			neighbors := make([]topo.ASN, 0, len(rel.Rel[a]))
-			for n := range rel.Rel[a] {
-				neighbors = append(neighbors, n)
-			}
-			sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
-			for _, n := range neighbors {
-				adv := advertised(n)
-				if adv == nil {
-					continue
-				}
-				if !canExport(rel, n, a, best[n], n == dest) {
-					continue
-				}
-				if containsASN(adv, a) {
-					continue // loop (or poisoned against a)
-				}
-				pref := prefFor(rel, pol, a, n)
-				c := &Route{Dest: dest, Path: adv, LocalPref: pref}
-				if better(c, cand) {
-					cand = c
-				}
-			}
-			if !routesEqual(cand, best[a]) {
-				best[a] = cand
-				changed = true
-			}
-		}
-		if !changed {
-			return destTable{best: best, sweeps: sweep + 1}, nil
-		}
-	}
-	return destTable{}, fmt.Errorf("bgp: routing for dest AS%d did not converge in %d sweeps (policy dispute?)", dest, maxSweeps)
-}
-
-// canExport implements Gao–Rexford: n exports its route to neighbor a iff
-// a is n's customer, or n's route was originated by n / learned from one of
-// n's customers.
-func canExport(rel *topo.ASRelationships, n, a topo.ASN, nRoute *Route, nIsOrigin bool) bool {
-	if rel.Rel[n][a] == topo.RelProvider {
-		return true // a is n's customer: export everything
-	}
-	if nIsOrigin {
-		return true // own prefix: export to everyone
-	}
-	if nRoute == nil {
-		return false
-	}
-	// Learned from a customer?
-	return rel.Rel[n][nRoute.NextHop()] == topo.RelProvider
-}
-
 func prefFor(rel *topo.ASRelationships, pol *Policy, a, n topo.ASN) int {
 	if m := pol.LocalPref[a]; m != nil {
 		if v, ok := m[n]; ok {
@@ -322,48 +276,6 @@ func prefFor(rel *topo.ASRelationships, pol *Policy, a, n topo.ASN) int {
 		return PrefCustomer
 	}
 	return 0
-}
-
-// better implements BGP decision order: higher local-pref, then shorter AS
-// path, then lowest next-hop ASN.
-func better(a, b *Route) bool {
-	if b == nil {
-		return a != nil
-	}
-	if a == nil {
-		return false
-	}
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
-	}
-	if a.Len() != b.Len() {
-		return a.Len() < b.Len()
-	}
-	return a.NextHop() < b.NextHop()
-}
-
-func routesEqual(a, b *Route) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.LocalPref != b.LocalPref || len(a.Path) != len(b.Path) {
-		return false
-	}
-	for i := range a.Path {
-		if a.Path[i] != b.Path[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsASN(path []topo.ASN, a topo.ASN) bool {
-	for _, x := range path {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // ValleyFree reports whether the AS path respects Gao–Rexford valley

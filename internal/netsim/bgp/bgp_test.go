@@ -31,6 +31,16 @@ func trombone(t testing.TB) *topo.Topology {
 	return tp
 }
 
+// lookup is RIB.Lookup for tests, failing t on a compute error.
+func lookup(t testing.TB, rib *RIB, a, dest topo.ASN) *Route {
+	t.Helper()
+	rt, err := rib.Lookup(a, dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
 func TestRouteSelectionPrefersCustomerThenPeerThenProvider(t *testing.T) {
 	// AS 1 can reach dest 4 via customer 2, peer 3, or provider 5.
 	b := topo.NewBuilder(nil).
@@ -53,7 +63,7 @@ func TestRouteSelectionPrefersCustomerThenPeerThenProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rib.Lookup(1, 4)
+	r := lookup(t, rib, 1, 4)
 	if r == nil || r.NextHop() != 2 {
 		t.Fatalf("route = %+v, want via customer AS2", r)
 	}
@@ -79,11 +89,11 @@ func TestPeerRoutesNotReExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rib.Lookup(1, 3); r != nil {
+	if r := lookup(t, rib, 1, 3); r != nil {
 		t.Fatalf("valley route leaked: %+v", r)
 	}
 	// Direct peer is reachable.
-	if r := rib.Lookup(1, 2); r == nil {
+	if r := lookup(t, rib, 1, 2); r == nil {
 		t.Fatal("peer unreachable")
 	}
 }
@@ -121,7 +131,7 @@ func TestIXPJoinShiftsRouteToPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rib.Lookup(3741, 300)
+	r := lookup(t, rib, 3741, 300)
 	if r == nil || r.NextHop() != 300 {
 		t.Fatalf("after IXP join route = %+v, want direct peer", r)
 	}
@@ -141,7 +151,7 @@ func TestLocalPrefOverrideFlipsChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rib.Lookup(3741, 300)
+	r := lookup(t, rib, 3741, 300)
 	if r == nil || r.NextHop() != 200 {
 		t.Fatalf("route = %+v, want via AS200 after depref", r)
 	}
@@ -167,7 +177,7 @@ func TestPoisoningDivertsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := rib.Lookup(3741, 300)
+	before := lookup(t, rib, 3741, 300)
 	if before == nil {
 		t.Fatal("unreachable before poisoning")
 	}
@@ -179,7 +189,7 @@ func TestPoisoningDivertsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := rib2.Lookup(3741, 300)
+	after := lookup(t, rib2, 3741, 300)
 	if after == nil {
 		t.Fatal("poisoning killed all reachability")
 	}
@@ -187,7 +197,7 @@ func TestPoisoningDivertsPath(t *testing.T) {
 		t.Fatalf("poisoned AS%d still on path %v", usedFirst, after.Path)
 	}
 	// The poisoned AS itself must have no route (it sees itself in the path).
-	if r := rib2.Lookup(usedFirst, 300); r != nil {
+	if r := lookup(t, rib2, usedFirst, 300); r != nil {
 		t.Fatalf("poisoned AS still has a route: %+v", r)
 	}
 }
@@ -205,7 +215,7 @@ func TestMaintenanceDenyLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rib.Lookup(3741, 300); r != nil {
+	if r := lookup(t, rib, 3741, 300); r != nil {
 		t.Fatalf("single-homed AS should be cut off during maintenance, got %+v", r)
 	}
 }
@@ -219,12 +229,12 @@ func TestLinkDownRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rib.Lookup(3741, 300); r != nil {
+	if r := lookup(t, rib, 3741, 300); r != nil {
 		t.Fatalf("route survived dead link: %+v", r)
 	}
 	tp.SetLinkUp(id, true)
 	rib2, _ := Compute(context.Background(), parallel.Pool{}, tp, nil)
-	if rib2.Lookup(3741, 300) == nil {
+	if lookup(t, rib2, 3741, 300) == nil {
 		t.Fatal("route did not return after link restore")
 	}
 }
@@ -341,7 +351,7 @@ func TestGeneratedTopologiesConvergeAndAreValleyFree(t *testing.T) {
 				if src.ASN == dst.ASN {
 					continue
 				}
-				rt := rib.Lookup(src.ASN, dst.ASN)
+				rt := lookup(t, rib, src.ASN, dst.ASN)
 				if rt == nil {
 					// Tier1-rooted hierarchy: everything should be
 					// reachable from everything.
@@ -476,13 +486,50 @@ func TestScaleLargeTopology(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		rt := rib.Lookup(src, dst)
+		rt := lookup(t, rib, src, dst)
 		if rt == nil {
 			t.Fatalf("AS%d cannot reach AS%d in a tier1-rooted hierarchy", src, dst)
 		}
 		path := append([]topo.ASN{src}, rt.Path...)
 		if !ValleyFree(rel, path) {
 			t.Fatalf("valley in %v", path)
+		}
+	}
+}
+
+// TestPolicyFingerprint: the memo key's policy half sees every field that
+// changes routing and nothing that does not — empty leftovers of cleared
+// pins, empty poison lists and false DenyLink entries.
+func TestPolicyFingerprint(t *testing.T) {
+	base := NewPolicy().fingerprint()
+	if (*Policy)(nil).fingerprint() != base {
+		t.Fatal("a nil policy fingerprints differently from an empty one")
+	}
+	p := NewPolicy()
+	p.SetLocalPref(1, 2, 50)
+	p.ClearLocalPref(1, 2)
+	p.Poison[3] = nil
+	p.DenyLink[7] = false
+	if p.fingerprint() != base {
+		t.Fatal("routing-neutral leftovers changed the fingerprint")
+	}
+	edits := map[string]func(*Policy){
+		"local-pref": func(p *Policy) { p.SetLocalPref(1, 2, 50) },
+		"pref value": func(p *Policy) { p.SetLocalPref(1, 2, 60) },
+		"poison":     func(p *Policy) { p.Poison[3] = []topo.ASN{4} },
+		"deny":       func(p *Policy) { p.DenyLink[7] = true },
+	}
+	seen := map[string]string{base: "empty"}
+	for name, edit := range edits {
+		p := NewPolicy()
+		edit(p)
+		fp := p.fingerprint()
+		if other, dup := seen[fp]; dup {
+			t.Fatalf("%s edit fingerprints like %s", name, other)
+		}
+		seen[fp] = name
+		if p.Clone().fingerprint() != fp {
+			t.Fatalf("a clone of the %s policy fingerprints differently", name)
 		}
 	}
 }

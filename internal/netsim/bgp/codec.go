@@ -1,8 +1,8 @@
 package bgp
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"sisyphus/internal/netsim/topo"
 )
@@ -33,30 +33,27 @@ type ExportRoute struct {
 	LocalPref   int
 }
 
-// Export snapshots the RIB into its serialized form.
+// Export snapshots the RIB's computed tables into their serialized form. A
+// RIB from Compute or Import is complete; a lazy RIB exports the
+// destinations it has computed so far.
 func (r *RIB) Export() *Export {
 	e := &Export{}
-	dests := make([]topo.ASN, 0, len(r.best))
-	for d := range r.best {
-		dests = append(dests, d)
-	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	for _, d := range dests {
-		m := r.best[d]
-		ases := make([]topo.ASN, 0, len(m))
-		for a := range m {
-			ases = append(ases, a)
+	for d := range r.c.slots {
+		tbl := r.c.slots[d].tbl.Load()
+		if tbl == nil {
+			continue
 		}
-		sort.Slice(ases, func(i, j int) bool { return ases[i] < ases[j] })
-		ed := ExportDest{Dest: d}
-		for _, a := range ases {
-			rt := m[a]
-			er := ExportRoute{AS: a}
-			if rt == nil {
+		ed := ExportDest{Dest: r.c.asns[d]}
+		for i, st := range tbl.state {
+			er := ExportRoute{AS: r.c.asns[i]}
+			switch st {
+			case absent:
+				continue
+			case withdrawn:
 				er.Unreachable = true
-			} else {
-				er.Path = append([]topo.ASN(nil), rt.Path...)
-				er.LocalPref = rt.LocalPref
+			case routed:
+				er.Path = append([]topo.ASN(nil), tbl.routes[i].Path...)
+				er.LocalPref = tbl.routes[i].LocalPref
 			}
 			ed.Routes = append(ed.Routes, er)
 		}
@@ -68,8 +65,10 @@ func (r *RIB) Export() *Export {
 // Import reconstructs a RIB from its serialized form, rebinding it onto t —
 // which must be a topology equivalent to the one the fixed point was
 // computed over — with the default (empty) policy, mirroring what Compute
-// produces for the same inputs. Duplicate destinations or per-destination
-// ASes are rejected, never panicked on.
+// produces for the same inputs. The export must hold a table for every AS
+// of t, so an imported RIB is complete; duplicate, unknown or missing
+// destinations and duplicate or unknown per-destination ASes are rejected,
+// never panicked on.
 func Import(e *Export, t *topo.Topology) (*RIB, error) {
 	if e == nil {
 		return nil, fmt.Errorf("bgp: import: nil export")
@@ -77,36 +76,44 @@ func Import(e *Export, t *topo.Topology) (*RIB, error) {
 	if t == nil {
 		return nil, fmt.Errorf("bgp: import: nil topology")
 	}
-	rel, err := t.Relationships()
+	r, err := newRIB(context.Background(), t, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bgp: import: %w", err)
 	}
-	r := &RIB{
-		Topo:   t,
-		Rel:    rel,
-		best:   make(map[topo.ASN]map[topo.ASN]*Route, len(e.Dests)),
-		policy: NewPolicy(),
-	}
+	c := r.c
 	for _, ed := range e.Dests {
-		if _, ok := r.best[ed.Dest]; ok {
+		d, ok := c.index(ed.Dest)
+		if !ok {
+			return nil, fmt.Errorf("bgp: import: unknown destination AS%d", ed.Dest)
+		}
+		if c.slots[d].tbl.Load() != nil {
 			return nil, fmt.Errorf("bgp: import: duplicate destination AS%d", ed.Dest)
 		}
-		m := make(map[topo.ASN]*Route, len(ed.Routes))
+		tbl := &table{routes: make([]Route, len(c.asns)), state: make([]uint8, len(c.asns))}
 		for _, er := range ed.Routes {
-			if _, ok := m[er.AS]; ok {
+			i, ok := c.index(er.AS)
+			if !ok {
+				return nil, fmt.Errorf("bgp: import: destination AS%d lists unknown AS%d", ed.Dest, er.AS)
+			}
+			if tbl.state[i] != absent {
 				return nil, fmt.Errorf("bgp: import: destination AS%d lists AS%d twice", ed.Dest, er.AS)
 			}
 			if er.Unreachable {
-				m[er.AS] = nil
+				tbl.state[i] = withdrawn
 				continue
 			}
-			m[er.AS] = &Route{
-				Dest:      ed.Dest,
-				Path:      append([]topo.ASN(nil), er.Path...),
-				LocalPref: er.LocalPref,
+			tbl.state[i] = routed
+			tbl.routes[i] = Route{Dest: ed.Dest, LocalPref: er.LocalPref}
+			if len(er.Path) > 0 {
+				tbl.routes[i].Path = append([]topo.ASN(nil), er.Path...)
 			}
 		}
-		r.best[ed.Dest] = m
+		c.slots[d].tbl.Store(tbl)
+	}
+	for d := range c.slots {
+		if c.slots[d].tbl.Load() == nil {
+			return nil, fmt.Errorf("bgp: import: no table for destination AS%d", c.asns[d])
+		}
 	}
 	return r, nil
 }

@@ -4,10 +4,10 @@ import "sisyphus/internal/netsim/topo"
 
 // Fork returns a copy of the RIB rebound onto t, which must be a topology
 // equivalent to the one the RIB was computed over (typically a Clone of
-// it). This is what lets one converged fixed point seed many engines. A RIB
-// is never written after it converges, so the fork shares every table,
-// route, the relationship map and the policy with the original: it costs
-// one struct copy.
+// it). This is what lets one converged fixed point seed many engines. A
+// table is never rewritten once computed, so the fork shares every table,
+// route, the relationship map and the captured policy with the original:
+// it costs one struct copy.
 func (r *RIB) Fork(t *topo.Topology) *RIB {
 	out := *r
 	out.Topo = t
@@ -15,19 +15,23 @@ func (r *RIB) Fork(t *topo.Topology) *RIB {
 }
 
 // SizeBytes estimates the RIB's resident size for the artifact store's byte
-// bound: a flat per-route cost plus path payloads and map overhead. It is
-// an estimate, not an accounting — the LRU only needs relative magnitudes.
+// bound: a flat per-route cost plus path payloads and per-table overhead,
+// over the tables computed so far. It is an estimate, not an accounting —
+// the LRU only needs relative magnitudes.
 func (r *RIB) SizeBytes() int64 {
-	const perRoute = 64  // Route struct + map entry
+	const perRoute = 64  // one table entry
 	const perPathHop = 4 // one topo.ASN
-	const perDest = 48   // inner map header + outer entry
+	const perDest = 48   // table header
 	var n int64
-	for _, m := range r.best {
+	for i := range r.c.slots {
+		tbl := r.c.slots[i].tbl.Load()
+		if tbl == nil {
+			continue
+		}
 		n += perDest
-		for _, rt := range m {
-			n += perRoute
-			if rt != nil {
-				n += int64(len(rt.Path)) * perPathHop
+		for j, st := range tbl.state {
+			if st != absent {
+				n += perRoute + int64(len(tbl.routes[j].Path))*perPathHop
 			}
 		}
 	}

@@ -32,32 +32,20 @@ func TestFrozenForkSharesTables(t *testing.T) {
 	if a == rib || a.Topo != world {
 		t.Fatal("fork is not a copy rebound onto the caller's world")
 	}
-	if len(a.best) != len(rib.best) {
-		t.Fatalf("fork has %d destinations, original %d", len(a.best), len(rib.best))
+	if a.c != rib.c {
+		t.Fatal("fork copied the routing core")
 	}
-	for dest := range rib.best {
-		if !sameTable(a.best[dest], rib.best[dest]) {
-			t.Fatalf("fork copied the table for dest AS%d", dest)
+	for d := range rib.c.slots {
+		if tbl := rib.c.slots[d].tbl.Load(); tbl == nil || a.c.slots[d].tbl.Load() != tbl {
+			t.Fatalf("fork does not share the table for dest AS%d", rib.c.asns[d])
 		}
 	}
 	if a.Rel != rib.Rel {
 		t.Fatal("fork copied the relationship map")
 	}
-	if got, want := a.Lookup(3741, 300), rib.Lookup(3741, 300); got == nil || got != want {
+	if got, want := lookup(t, a, 3741, 300), lookup(t, rib, 3741, 300); got == nil || got != want {
 		t.Fatalf("fork route 3741→300 = %+v, want the original's %+v", got, want)
 	}
-}
-
-func sameTable(a, b map[topo.ASN]*Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestFrozenForkAllocations pins the pointer-cheap fork property: forking
@@ -84,8 +72,8 @@ func TestSizeBytes(t *testing.T) {
 		t.Fatalf("SizeBytes() = %d, want > 0", n)
 	}
 	routes := 0
-	for _, m := range rib.best {
-		routes += len(m)
+	for _, ed := range rib.Export().Dests {
+		routes += len(ed.Routes)
 	}
 	if n < int64(routes)*64 {
 		t.Fatalf("SizeBytes() = %d, below the per-route floor for %d routes", n, routes)

@@ -53,15 +53,17 @@ func (r *RIB) Forward(src, dst topo.PoPID) (*Path, error) {
 	t := r.Topo
 	srcPoP := t.PoP(src)
 	dstPoP := t.PoP(dst)
-	route := r.Lookup(srcPoP.AS, dstPoP.AS)
-	if srcPoP.AS != dstPoP.AS && route == nil {
-		return nil, fmt.Errorf("bgp: AS%d cannot reach AS%d", srcPoP.AS, dstPoP.AS)
-	}
-
 	path := &Path{Src: src, Dst: dst}
 	cur := src
 	asSeq := []topo.ASN{srcPoP.AS}
 	if srcPoP.AS != dstPoP.AS {
+		route, err := r.Lookup(srcPoP.AS, dstPoP.AS)
+		if err != nil {
+			return nil, err
+		}
+		if route == nil {
+			return nil, fmt.Errorf("bgp: AS%d cannot reach AS%d", srcPoP.AS, dstPoP.AS)
+		}
 		for _, asn := range route.Path {
 			asSeq = append(asSeq, asn)
 			if asn == dstPoP.AS {
@@ -85,8 +87,9 @@ func (r *RIB) Forward(src, dst topo.PoPID) (*Path, error) {
 		var bestLink *topo.Link
 		var bestNear, bestFar topo.PoPID
 		for _, id := range ids {
+			// Rel already lacks the links the policy denies.
 			l := t.Link(id)
-			if !l.Up || r.policy.DenyLink[id] {
+			if !l.Up {
 				continue
 			}
 			near, far := l.A, l.B
@@ -135,7 +138,15 @@ func (r *RIB) intraDelay(a, b topo.PoPID) float64 {
 // propagation delay from the source PoP — how anycast/CDN edge selection is
 // approximated when a measurement targets "the content AS" rather than a
 // specific PoP.
+//
+// A failure to compute the routes themselves is returned, not skipped like
+// an unreachable PoP.
 func (r *RIB) NearestPoP(src topo.PoPID, asn topo.ASN) (topo.PoPID, error) {
+	if from := r.Topo.PoP(src).AS; from != asn {
+		if _, err := r.Lookup(from, asn); err != nil {
+			return 0, err
+		}
+	}
 	var best topo.PoPID
 	bestDelay := -1.0
 	for _, id := range r.Topo.PoPsOf(asn) {

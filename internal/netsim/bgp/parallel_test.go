@@ -27,7 +27,7 @@ func TestComputeParallelBitIdentity(t *testing.T) {
 	if seqErr != nil || parErr != nil {
 		t.Fatalf("compute errors: %v / %v", seqErr, parErr)
 	}
-	if !reflect.DeepEqual(seq.best, par.best) {
+	if !reflect.DeepEqual(seq.Export(), par.Export()) {
 		t.Fatal("parallel RIB differs from sequential RIB")
 	}
 }

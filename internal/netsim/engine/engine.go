@@ -22,7 +22,6 @@ import (
 	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
-	"sisyphus/internal/parallel"
 )
 
 // Config tunes the engine.
@@ -39,9 +38,6 @@ type Config struct {
 	// (default 0.82); EgressLowUtil the level that releases the override
 	// (default 0.6).
 	EgressHighUtil, EgressLowUtil float64
-	// Pool shards routing recomputation (bgp.Compute) across workers. The
-	// zero value is the default pool; routing is bit-identical at any width.
-	Pool parallel.Pool
 	// InitialRIB seeds the engine with a pre-converged routing state —
 	// typically an artifact-store fork of the scenario's fixed point under
 	// the empty policy. The engine starts clean (not dirty): the first RIB
@@ -89,6 +85,9 @@ type Engine struct {
 	step  int
 	rib   *bgp.RIB
 	dirty bool
+	// memo holds the lazy RIBs of recently seen routing states; every
+	// recompute (factual, v6, what-if) goes through it.
+	memo bgp.Memo
 
 	// Dual-stack state (see family.go): the v6 policy and RIB. Events and
 	// adaptive egress operate on the v4 plane; the v6 plane changes only
@@ -130,6 +129,7 @@ func New(t *topo.Topology, seed uint64, cfg Config) *Engine {
 	if cfg.InitialRIB != nil {
 		e.rib = cfg.InitialRIB
 		e.dirty = false
+		e.memo.Add(e.Policy, e.rib)
 	}
 	return e
 }
@@ -173,13 +173,18 @@ func (e *Engine) RIB() (*bgp.RIB, error) {
 	return e.rib, nil
 }
 
-// RIBUnder converges routing for pol over the engine's current topology
+// RIBUnder returns routing for pol over the engine's current topology
 // without touching the engine: Policy, the factual RIBs and their dirty
 // flags stay exactly as they were. It is the one way to ask a
 // counterfactual — pass a Clone of Policy carrying the what-if edits, then
 // query the result with PerfToASOn as many times as needed.
+//
+// The RIB is lazy — a query pays only for the destinations it reads — and
+// memoised by (link-state version, policy fingerprint), so asking about a
+// routing state the engine saw recently reuses its tables. Later edits to
+// pol do not reach the returned RIB.
 func (e *Engine) RIBUnder(pol *bgp.Policy) (*bgp.RIB, error) {
-	return bgp.Compute(e.ctx, e.cfg.Pool, e.Topo, pol)
+	return e.memo.RIB(e.ctx, e.Topo, pol)
 }
 
 // Step advances simulated time by StepHours: fires due events, then applies
@@ -275,7 +280,11 @@ func (e *Engine) adaptEgress() error {
 			if dst.ASN == a {
 				continue
 			}
-			if r := rib.Lookup(a, dst.ASN); r != nil {
+			r, err := rib.Lookup(a, dst.ASN)
+			if err != nil {
+				return err
+			}
+			if r != nil {
 				for _, p := range providers {
 					if r.NextHop() == p {
 						use[p]++

@@ -101,8 +101,11 @@ func TestFamilyPlanesIndependentPolicies(t *testing.T) {
 	// v6 must still be willing to use providers[0] somewhere v4 is not.
 	diverged := false
 	for _, dst := range tp.ASes() {
-		r4 := rib4.Lookup(asn, dst.ASN)
-		r6 := rib6.Lookup(asn, dst.ASN)
+		r4, err4 := rib4.Lookup(asn, dst.ASN)
+		r6, err6 := rib6.Lookup(asn, dst.ASN)
+		if err4 != nil || err6 != nil {
+			t.Fatal(err4, err6)
+		}
 		if r4 == nil || r6 == nil {
 			continue
 		}

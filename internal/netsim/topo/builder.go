@@ -175,6 +175,7 @@ func (t *Topology) JoinIXP(name string, asn ASN) ([]LinkID, error) {
 	if _, ok := t.ixpMemberIdx[name][asn]; ok {
 		return nil, fmt.Errorf("topo: AS%d is already a member of %s", asn, name)
 	}
+	t.version++
 	var created []LinkID
 	for _, member := range x.Members {
 		mpop, err := t.FindPoP(member, x.City)

@@ -140,6 +140,9 @@ type Topology struct {
 	ixps  map[string]*IXP
 	// ixpMemberIdx[name][asn] is the member's index on the LAN (for IPs).
 	ixpMemberIdx map[string]map[ASN]int
+	// version counts link-state mutations; equal versions of one topology
+	// mean equal link state, so routing can be memoised by it.
+	version uint64
 
 	// frozen marks the immutable original the artifact store holds.
 	frozen bool
@@ -166,7 +169,13 @@ func (t *Topology) mutable(op string) {
 func (t *Topology) SetLinkUp(id LinkID, up bool) {
 	t.mutable("SetLinkUp")
 	t.links[int(id)].Up = up
+	t.version++
 }
+
+// Version returns the link-state version: SetLinkUp and JoinIXP bump it and
+// Clone copies it, so a topology whose version is unchanged has the same
+// links in the same state as when it was last read.
+func (t *Topology) Version() uint64 { return t.version }
 
 // SizeBytes estimates the topology's resident size for the artifact store's
 // byte bound: flat per-AS/PoP/link costs plus IXP membership payloads. An

@@ -230,3 +230,24 @@ func TestPoPsOf(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkStateVersion: both mutators move the link-state version routing
+// is memoised by, and a clone starts from its original's.
+func TestLinkStateVersion(t *testing.T) {
+	tp := tinyTopo(t)
+	v := tp.Version()
+	if _, err := tp.JoinIXP("NAPAfrica-JNB", 100); err != nil {
+		t.Fatal(err)
+	}
+	if tp.Version() == v {
+		t.Fatal("JoinIXP did not bump the link-state version")
+	}
+	c := tp.Clone()
+	if c.Version() != tp.Version() {
+		t.Fatal("Clone did not copy the link-state version")
+	}
+	c.SetLinkUp(LinkID(0), false)
+	if c.Version() == tp.Version() {
+		t.Fatal("SetLinkUp on the clone did not bump its version")
+	}
+}

@@ -126,7 +126,7 @@ func TestCancelledRequestDoesNotPoisonStore(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	s := newTestServer(t)
-	const path = "/experiment/confounding?seed=3&opts=" + `{"Hours":240}`
+	const path = "/experiment/confounding?seed=3&opts=" + `{"Hours":8760}`
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
@@ -206,7 +206,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 		Pool:           parallel.Pool{},
 		RequestTimeout: 60 * time.Millisecond,
 	})
-	rec := get(t, s, "/experiment/confounding?seed=6")
+	rec := get(t, s, "/experiment/confounding?seed=6&opts="+`{"Hours":8760}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", rec.Code, rec.Body)
 	}
