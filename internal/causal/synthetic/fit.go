@@ -92,6 +92,7 @@ func Fit(p *Panel, treated string, t0 int, cfg Config) (*Result, error) {
 
 // simplexWeights minimizes ||target − pre·w||² over the probability simplex
 // using Frank–Wolfe with exact line search (the objective is quadratic).
+// Its working vectors are allocated once per fit, not per iteration.
 func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.Vector {
 	n := pre.Cols
 	w := make(mathx.Vector, n)
@@ -100,8 +101,11 @@ func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.V
 	}
 	resid := pre.MulVec(w).Sub(target) // A w − b
 	preT := pre.T()
+	grad := make(mathx.Vector, n)
+	aw := make(mathx.Vector, pre.Rows) // A w
+	ad := make(mathx.Vector, pre.Rows) // A d
 	for iter := 0; iter < maxIter; iter++ {
-		grad := preT.MulVec(resid)
+		preT.MulVecInto(grad, resid)
 		// Linear minimization oracle over the simplex: the best vertex.
 		j := 0
 		for k := 1; k < n; k++ {
@@ -110,8 +114,12 @@ func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.V
 			}
 		}
 		// Direction d = e_j − w; step minimizes the quadratic along d.
-		// A d = A e_j − A w = col_j − (resid + b) ... compute directly.
-		ad := pre.Col(j).Sub(pre.MulVec(w))
+		// A d = col_j − A w, formed from A w itself: resid + b would be
+		// cheaper but rounds differently.
+		pre.MulVecInto(aw, w)
+		for i := range ad {
+			ad[i] = pre.At(i, j) - aw[i]
+		}
 		denom := ad.Dot(ad)
 		if denom < 1e-18 {
 			break
@@ -127,7 +135,7 @@ func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.V
 			w[k] *= 1 - gamma
 		}
 		w[j] += gamma
-		resid = resid.AddScaled(gamma, ad)
+		resid.AddScaled(gamma, ad)
 		if gamma < 1e-12 {
 			break
 		}

@@ -126,19 +126,27 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v Vector) Vector {
+	return m.MulVecInto(make(Vector, m.Rows), v)
+}
+
+// MulVecInto writes the matrix-vector product m * v into dst, which must
+// have m.Rows elements and must not alias v, and returns dst.
+func (m *Matrix) MulVecInto(dst, v Vector) Vector {
 	if m.Cols != len(v) {
 		panic(fmt.Sprintf("mathx: mulVec %dx%d by %d", m.Rows, m.Cols, len(v)))
 	}
-	out := make(Vector, m.Rows)
+	if len(dst) != m.Rows {
+		panic(fmt.Sprintf("mathx: mulVec %dx%d into %d", m.Rows, m.Cols, len(dst)))
+	}
 	for i := 0; i < m.Rows; i++ {
 		var s float64
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, x := range row {
 			s += x * v[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
+	return dst
 }
 
 // Add returns m + b as a new matrix.

@@ -199,3 +199,32 @@ func TestRaggedRowsPanics(t *testing.T) {
 	}()
 	MatrixFromRows([][]float64{{1, 2}, {3}})
 }
+
+func TestMatrixMulVecIntoMatchesMulVec(t *testing.T) {
+	r := NewRNG(11)
+	m := NewMatrix(4, 3)
+	for i := range m.Data {
+		m.Data[i] = r.Normal(0, 2)
+	}
+	v := Vector{r.Normal(0, 1), r.Normal(0, 1), r.Normal(0, 1)}
+	dst := make(Vector, 4)
+	got := m.MulVecInto(dst, v)
+	if &got[0] != &dst[0] {
+		t.Fatal("MulVecInto did not return dst")
+	}
+	want := m.MulVec(v)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d: MulVecInto %v, MulVec %v", i, got[i], want[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.MulVecInto(dst, v) }); allocs != 0 {
+		t.Fatalf("MulVecInto allocates %v objects", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a dst of the wrong length was accepted")
+		}
+	}()
+	m.MulVecInto(make(Vector, 3), v)
+}

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/parallel"
@@ -165,10 +166,14 @@ func sortedKeys[K topo.ASN | topo.LinkID, V any](m map[K]V) []K {
 // computes. A slot is written at most once and no route is ever rewritten:
 // a changed policy or topology is a new RIB. That is what lets Fork share
 // every table.
+//
+// Forwarding answers (Forward, NearestPoP) are memoised per RIB for the
+// link state they were computed under; a fork starts with an empty memo.
 type RIB struct {
 	Topo *topo.Topology
 	Rel  *topo.ASRelationships
 	c    *core
+	fwd  atomic.Pointer[fwdMemo] // made on first forwarding lookup
 }
 
 // Lookup returns a's route to dest, or nil if unreachable. Its error is the

@@ -7,11 +7,10 @@ import "sisyphus/internal/netsim/topo"
 // it). This is what lets one converged fixed point seed many engines. A
 // table is never rewritten once computed, so the fork shares every table,
 // route, the relationship map and the captured policy with the original:
-// it costs one struct copy.
+// it costs one struct copy. The forwarding memo is not shared: its hops
+// point at the original topology's links.
 func (r *RIB) Fork(t *topo.Topology) *RIB {
-	out := *r
-	out.Topo = t
-	return &out
+	return &RIB{Topo: t, Rel: r.Rel, c: r.c}
 }
 
 // SizeBytes estimates the RIB's resident size for the artifact store's byte

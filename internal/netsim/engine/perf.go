@@ -11,6 +11,8 @@ import (
 // PathPerf is the engine's ground-truth performance along one path at one
 // instant (no measurement noise — probes add that).
 type PathPerf struct {
+	// Path is the RIB's memoised path, shared with every other caller that
+	// forwarded between the same PoPs: read-only (see bgp.Path).
 	Path *bgp.Path
 	// RTTms is the round-trip time: 2× (propagation + queueing + per-hop).
 	RTTms float64

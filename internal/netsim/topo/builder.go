@@ -24,6 +24,7 @@ func NewBuilder(reg *geo.Registry) *Builder {
 		Registry:     reg,
 		ases:         make(map[ASN]*AS),
 		popIndex:     make(map[popKey]PoPID),
+		popsOf:       make(map[ASN][]PoPID),
 		adj:          make(map[PoPID][]LinkID),
 		ixps:         make(map[string]*IXP),
 		ixpMemberIdx: make(map[string]map[ASN]int),
@@ -64,6 +65,7 @@ func (b *Builder) AddAS(asn ASN, name string, typ ASType, cities ...string) *Bui
 		id := PoPID(len(b.t.pops))
 		b.t.pops = append(b.t.pops, PoP{ID: id, AS: asn, City: city})
 		b.t.popIndex[key] = id
+		b.t.popsOf[asn] = append(b.t.popsOf[asn], id)
 	}
 	return b
 }

@@ -11,6 +11,7 @@ func (t *Topology) Clone() *Topology {
 		asOrder:      t.asOrder, // (nothing writes these after Build)
 		pops:         t.pops,
 		popIndex:     t.popIndex,
+		popsOf:       t.popsOf,
 		version:      t.version,
 		links:        make([]*Link, len(t.links)),
 		adj:          make(map[PoPID][]LinkID, len(t.adj)),

@@ -11,9 +11,9 @@ import (
 // order (cities by name, ASes and PoPs and links in creation order, IXPs by
 // name) and nothing is a map, so encoding the struct with a deterministic
 // encoder yields identical bytes for identical topologies. The derived
-// indexes (popIndex, adjacency, IXP member index) are intentionally absent —
-// Import rebuilds them, which is both smaller on disk and safer: a corrupted
-// index can never disagree with the data it indexes.
+// indexes (popIndex, popsOf, adjacency, IXP member index) are intentionally
+// absent — Import rebuilds them, which is both smaller on disk and safer: a
+// corrupted index can never disagree with the data it indexes.
 type Export struct {
 	Cities []geo.City
 	ASes   []AS
@@ -85,6 +85,7 @@ func Import(e *Export) (*Topology, error) {
 		Registry:     geo.FromCities(e.Cities),
 		ases:         make(map[ASN]*AS, len(e.ASes)),
 		popIndex:     make(map[popKey]PoPID, len(e.PoPs)),
+		popsOf:       make(map[ASN][]PoPID, len(e.ASes)),
 		adj:          make(map[PoPID][]LinkID, len(e.PoPs)),
 		ixps:         make(map[string]*IXP, len(e.IXPs)),
 		ixpMemberIdx: make(map[string]map[ASN]int, len(e.IXPs)),
@@ -116,6 +117,7 @@ func Import(e *Export) (*Topology, error) {
 		}
 		t.pops = append(t.pops, p)
 		t.popIndex[key] = p.ID
+		t.popsOf[p.AS] = append(t.popsOf[p.AS], p.ID)
 	}
 	for _, x := range e.IXPs {
 		if _, ok := t.ixps[x.Name]; ok {

@@ -133,6 +133,7 @@ type Topology struct {
 	asOrder  []ASN
 	pops     []PoP
 	popIndex map[popKey]PoPID
+	popsOf   map[ASN][]PoPID // each AS's PoPs in creation order
 	// Mutable overlay: IXP membership (JoinIXP grows links/adj/ixps) and
 	// link operational state (SetLinkUp). Clone copies these.
 	links []*Link
@@ -231,15 +232,11 @@ func (t *Topology) FindPoP(asn ASN, city string) (PoPID, error) {
 	return id, nil
 }
 
-// PoPsOf returns the PoP IDs of an AS, in creation order.
+// PoPsOf returns the PoP IDs of an AS, in creation order. The slice is
+// shared with the topology and its clones: read it, do not write it.
 func (t *Topology) PoPsOf(asn ASN) []PoPID {
-	var out []PoPID
-	for _, p := range t.pops {
-		if p.AS == asn {
-			out = append(out, p.ID)
-		}
-	}
-	return out
+	ids := t.popsOf[asn]
+	return ids[:len(ids):len(ids)]
 }
 
 // Link returns the link with the given ID.

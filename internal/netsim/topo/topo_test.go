@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"sisyphus/internal/mathx"
 )
 
 // tinyTopo: access AS 100 (Johannesburg) buys transit from AS 200
@@ -228,6 +231,47 @@ func TestPoPsOf(t *testing.T) {
 		if topo.PoP(id).AS != 200 {
 			t.Fatal("foreign pop returned")
 		}
+	}
+}
+
+// TestPoPsOfIndex: the per-AS PoP index answers exactly what a scan of the
+// PoP list in creation order does, for built, generated, imported, cloned
+// and IXP-joined topologies, and without allocating.
+func TestPoPsOfIndex(t *testing.T) {
+	scan := func(tp *Topology, asn ASN) []PoPID {
+		var out []PoPID
+		for _, p := range tp.PoPs() {
+			if p.AS == asn {
+				out = append(out, p.ID)
+			}
+		}
+		return out
+	}
+	gen, err := Generate(mathx.NewRNG(4), DefaultGenConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported, err := Import(gen.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := tinyTopo(t).Clone()
+	if _, err := joined.JoinIXP("NAPAfrica-JNB", 100); err != nil {
+		t.Fatal(err)
+	}
+	for name, tp := range map[string]*Topology{"tiny": tinyTopo(t), "generated": gen, "imported": imported, "clone": gen.Clone(), "joined": joined} {
+		for _, a := range append(tp.ASes(), &AS{ASN: 999999}) {
+			if got, want := tp.PoPsOf(a.ASN), scan(tp, a.ASN); !slices.Equal(got, want) {
+				t.Fatalf("%s: PoPsOf(AS%d) = %v, scan %v", name, a.ASN, got, want)
+			}
+		}
+	}
+	asn := gen.ASes()[0].ASN
+	if got := append(gen.PoPsOf(asn), -1); slices.Contains(gen.PoPsOf(asn), -1) {
+		t.Fatalf("appending to PoPsOf's result (%v) wrote into the index", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { gen.PoPsOf(asn) }); allocs != 0 {
+		t.Fatalf("PoPsOf allocates %v objects per call", allocs)
 	}
 }
 
